@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import platform as _platform
 import resource
 import sys
@@ -39,9 +38,10 @@ from .figures import EXPERIMENTS
 __all__ = ["main", "run_bench", "compare", "kernel_microbench",
            "timeout_churn_microbench", "SUBCOMMANDS", "SCHEMA"]
 
-# /2 added ``sched`` and ``kernel_timeout_churn_per_sec``; ``compare``
-# lines old and new revisions up on their shared fields
-SCHEMA = "repro-bench/2"
+# /2 added ``sched`` and ``kernel_timeout_churn_per_sec``; /3 dropped
+# ``sched`` with the single event heap.  ``compare`` lines old and new
+# revisions up on their shared fields
+SCHEMA = "repro-bench/3"
 
 #: subcommands dispatched before option parsing (see ``tools/check_docs.py``)
 SUBCOMMANDS = {
@@ -92,9 +92,9 @@ def _timeout_churn(n_sessions: int, steps: int) -> Simulator:
 
     Every step arms a long per-command guard (0.3 s, postfix's order of
     magnitude), does a short unit of work, and cancels the guard — the
-    paper's spam-session shape, and the worst case for a global heap:
-    guards outnumber live events and sift through every push/pop until
-    they drain.  Under the wheel they tombstone in place.
+    paper's spam-session shape, and the worst case for a binary heap:
+    cancelled guards tombstone in place, outnumber live events and sift
+    through every push/pop until they drain.
     """
     sim = Simulator()
 
@@ -113,9 +113,8 @@ def _timeout_churn(n_sessions: int, steps: int) -> Simulator:
 def timeout_churn_microbench(quick: bool = False) -> dict:
     """Best-of-N queue entries/sec (live + tombstoned) on the churn shape.
 
-    Tombstoned guards are counted as processed entries — draining them is
-    exactly the work this benchmark measures — so the number is comparable
-    across queue backends, which drain identical entry streams.
+    Tombstoned guards are counted as processed entries: draining them is
+    exactly the work this benchmark measures.
     """
     n_sessions, steps, repeats = (200, 100, 2) if quick else (400, 200, 3)
     best = 0.0
@@ -180,7 +179,6 @@ def run_bench(quick: bool = False, out_dir: str = ".",
         "python": _platform.python_version(),
         "platform": _platform.platform(),
         "scale": "quick" if quick else "full",
-        "sched": os.environ.get("REPRO_SCHED", "heap"),
         **kernel,
         "figures": figure_walls,
         "tracing_overhead_pct": overhead,

@@ -248,9 +248,9 @@ METRICS: dict[str, MetricSpec] = {
         "queue held during any Simulator.run in this capture."),
     "kernel.tombstone_skips": MetricSpec(
         "counter", "count",
-        "Cancelled (tombstoned) queue entries dropped at pop by "
-        "Simulator.run — the lazy-cancellation workload the timing-wheel "
-        "backend is built for."),
+        "Cancelled (tombstoned) heap entries dropped at pop by "
+        "Simulator.run or Simulator.peek — cancelled timeouts are skipped "
+        "lazily, never extracted."),
     # -- DNSBL cache (capture-level; aggregated over all resolvers) ---------
     "dnsbl.cache.hits": MetricSpec(
         "counter", "count", "TTL-cache hits (Fig. 15 numerator)."),
@@ -316,20 +316,19 @@ SERIES_FIELDS: dict[str, str] = {
 #: :func:`repro.harness.bench.run_bench` refuses to write an artifact whose
 #: keys differ from this set, and ``docs/OBSERVABILITY.md`` mirrors it.
 BENCH_FIELDS: dict[str, str] = {
-    "schema": "artifact schema identifier, currently 'repro-bench/2'",
+    "schema": "artifact schema identifier, currently 'repro-bench/3'",
     "runstamp": "UTC wall-clock stamp YYYYMMDDTHHMMSSZ, also in the filename",
     "python": "interpreter version the benchmark ran under",
     "platform": "OS/machine string from platform.platform()",
     "scale": "'quick' or 'full' benchmark scale",
-    "sched": "event-queue backend the bench ran under ('heap' or 'wheel', "
-             "from REPRO_SCHED)",
     "kernel_events_per_sec": "DES-kernel events/sec, best of N runs of the "
                              "Figure-8-shaped microbench",
     "kernel_steps_per_sec": "DES-kernel generator resumes/sec on the same "
                             "microbench run",
-    "kernel_timeout_churn_per_sec": "DES-kernel events/sec on the "
+    "kernel_timeout_churn_per_sec": "DES-kernel queue entries drained "
+                                    "(live + tombstoned) per second on the "
                                     "arm/cancel-dominated guard-timer "
-                                    "microbench (the timing-wheel workload)",
+                                    "microbench",
     "figures": "per-experiment wall-clock seconds for the fixed figure "
                "subset, as {experiment id: seconds}",
     "tracing_overhead_pct": "percent wall-time cost of running the "

@@ -12,8 +12,9 @@ Design notes
 ------------
 * Time is a ``float`` in **seconds**.  There is no wall-clock coupling; a run
   is fully deterministic given its RNG seeds.
-* The event heap orders by ``(time, priority, sequence)`` so same-time events
-  fire in a stable, insertion-ordered way.
+* The event queue is one binary heap of ``(time, seq, event)`` entries, where
+  ``seq`` is a per-simulator push counter, so same-time events fire in a
+  stable, insertion-ordered way.
 * A :class:`Process` is itself an :class:`Event` that succeeds with the
   generator's return value, so processes can wait on each other.
 
@@ -29,20 +30,15 @@ that path allocation-free where it can:
   that nothing else — a condition, a process, user code — still references
   it, so recycling is invisible to the API.  Pass ``timeout_pool=0`` to
   disable pooling entirely; results are bit-identical either way.
-* :meth:`Process._step` dispatches on ``(value, exception)`` arguments
-  instead of allocating a closure per resume, and yielded timeouts are wired
-  to the process without going through the generic callback machinery.
+* :meth:`Process._resume` inlines the send path instead of allocating a
+  closure per resume, and yielded timeouts are wired to the process without
+  going through the generic callback machinery.
 * The heap sequence number is a plain integer increment rather than
   ``itertools.count``.
-* :meth:`Simulator.run` inlines the single-callback common case and counts
-  events/steps and wall time, exposed via :meth:`Simulator.kernel_stats`.
-* The event queue itself is pluggable (:mod:`repro.sim.eventq`): the binary
-  heap is the default, and ``Simulator(queue="wheel")`` — or the
-  ``REPRO_SCHED`` environment variable, or ``repro-experiments --sched`` —
-  selects a hierarchical timing wheel tuned for timeout-churn workloads.
-  Both backends drain entries in identical ``(time, seq)`` order, so
-  results, traces and recordings are byte-identical across backends.
-* :meth:`Timeout.cancel` tombstones a pending timeout in place — the queue
+* :meth:`Simulator.run` is one loop with one dispatch body that resumes the
+  waiting process inline, and counts events/steps and wall time, exposed
+  via :meth:`Simulator.kernel_stats`.
+* :meth:`Timeout.cancel` tombstones a pending timeout in place — the heap
   entry is skipped when it drains instead of firing and no-oping — and
   recycles the object into the free list immediately when nothing else
   references it.
@@ -71,7 +67,6 @@ from time import perf_counter
 from typing import Any, Callable, Generator, Iterable, Optional
 
 from ..obs.trace import tracer as _obs_tracer
-from .eventq import HeapQueue, make_queue
 from .stats import KernelStats
 
 __all__ = [
@@ -235,10 +230,10 @@ class Timeout(Event):
     def cancel(self) -> bool:
         """Revoke the timeout so it never fires; returns False if too late.
 
-        The queue entry is *tombstoned* in place — lazily skipped when it
-        drains — rather than extracted, so cancellation is O(1) under any
-        backend.  Cancelling consumes the timeout: callbacks are dropped and
-        the object may be recycled into the simulator's free list at once,
+        The heap entry is *tombstoned* in place — lazily skipped when it
+        drains — rather than extracted, so cancellation is O(1).
+        Cancelling consumes the timeout: callbacks are dropped and the
+        object may be recycled into the simulator's free list at once,
         so a cancelled timeout must not be reused or waited on.  Cancelling
         a timeout some process is currently waiting on is an error (it
         would strand the process forever — interrupt the process instead).
@@ -337,21 +332,21 @@ class Process(Event):
 
         This is the kernel's innermost function — one call per process step —
         so the dominant send path is fully inlined here rather than split
-        across helper calls; :meth:`_step` handles the rare throw cases.
+        across helper calls; :meth:`_throw` handles the rare throw cases.
         """
         if self._value is not _PENDING:
             return  # already finished (e.g. interrupt raced with completion)
         if self._interrupts:
             interrupt = self._interrupts.popleft()
             self._target = None
-            self._step(None, interrupt)
+            self._throw(interrupt)
             return
         target = self._target
         if target is not None and trigger is not target:
             return  # stale wakeup for an event we no longer wait on
         self._target = None
         if not trigger._ok:
-            self._step(None, trigger._value)
+            self._throw(trigger._value)
             return
         sim = self.sim
         sim.steps_executed += 1
@@ -383,26 +378,16 @@ class Process(Event):
             return
         self._wire(target)
 
-    def _detach(self) -> None:
-        """Forget the event we were waiting on (used on interrupt)."""
-        self._target = None
+    def _throw(self, exc: BaseException) -> None:
+        """Throw ``exc`` into the generator: an interrupt or a failed event.
 
-    def _step(self, value: Any, exc: Optional[BaseException]) -> None:
-        """Advance the generator one step (throw path; sends are inlined in
-        :meth:`_resume`).
-
-        ``exc`` is ``None`` to send ``value`` and an exception instance to
-        throw — passing both through one call avoids allocating a closure
-        per resume, which dominated the old hot path.
+        Sends are inlined in :meth:`_resume` and :meth:`Simulator.run`.
         """
         sim = self.sim
         sim.steps_executed += 1
         sim._active_process = self
         try:
-            if exc is None:
-                target = self.generator.send(value)
-            else:
-                target = self.generator.throw(exc)
+            target = self.generator.throw(exc)
         except StopIteration as stop:
             sim._active_process = None
             self._finish_ok(stop.value)
@@ -412,17 +397,6 @@ class Process(Event):
             self._finish_fail(error)
             return
         sim._active_process = None
-        if target.__class__ is Timeout and target.sim is sim:
-            callbacks = target.callbacks
-            if callbacks is None:
-                self._resume(target)
-            elif not callbacks and target._waiter is None:
-                target._waiter = self
-                self._target = target
-            else:
-                self._target = target
-                callbacks.append(self._resume)
-            return
         self._wire(target)
 
     def _wire(self, target: Any) -> None:
@@ -529,40 +503,25 @@ class AllOf(_Condition):
 
 
 class Simulator:
-    """The event loop: a priority queue of events over simulated time.
+    """The event loop: a binary heap of events over simulated time.
 
     ``timeout_pool`` bounds the :class:`Timeout` free list (0 disables
     pooling; the default comes from :data:`DEFAULT_TIMEOUT_POOL`).  Pooling
     is purely an allocation optimisation — event ordering and results are
     identical with it on or off.
-
-    ``queue`` selects the event-queue backend (:mod:`repro.sim.eventq`):
-    ``"heap"`` (the default), ``"wheel"``, or a backend instance.  When not
-    given, the ``REPRO_SCHED`` environment variable decides (read per
-    construction, so workers forked by the harness inherit the choice).
-    Backends are behaviourally identical — same ordering, same results,
-    byte-identical traces — and differ only in throughput shape.
     """
 
-    __slots__ = ("now", "_queue", "_qheap", "_qpend", "_seq",
-                 "_active_process",
+    __slots__ = ("now", "_heap", "_seq", "_active_process",
                  "_unhandled", "_pool_max", "_timeout_pool",
                  "events_processed", "steps_executed", "wall_seconds",
-                 "timeouts_cancelled", "_obs", "_series", "_rec")
+                 "timeouts_cancelled", "depth_peak", "tombstone_skips",
+                 "_obs", "_series", "_rec")
 
-    def __init__(self, timeout_pool: Optional[int] = None, queue=None):
+    def __init__(self, timeout_pool: Optional[int] = None):
         self.now: float = 0.0
-        if queue is None:
-            queue = os.environ.get("REPRO_SCHED", "heap")
-        self._queue = make_queue(queue)
-        # the heap backend's raw list, for the inlined push/pop fast paths;
-        # None routes pushes through the backend's push() method instead
-        self._qheap: Optional[list] = (
-            self._queue._heap if isinstance(self._queue, HeapQueue) else None)
-        # the wheel backend's pending-batch append, bound once — the list
-        # identity is stable (refills clear it in place), so this stays valid
-        self._qpend = (None if self._qheap is not None
-                       else self._queue._pending.append)
+        #: ``(time, seq, event)`` entries; ``seq`` breaks same-time ties in
+        #: push order and identifies the live entry (see Event._entry_seq)
+        self._heap: list = []
         self._seq: int = 0
         self._active_process: Optional[Process] = None
         self._unhandled: list[tuple[Process, BaseException]] = []
@@ -575,6 +534,8 @@ class Simulator:
         self.steps_executed: int = 0
         self.wall_seconds: float = 0.0
         self.timeouts_cancelled: int = 0
+        self.depth_peak: int = 0
+        self.tombstone_skips: int = 0
         # observability: counters publish once per run() call, never per
         # event, so tracing adds no per-event work even when enabled.
         # Time-series sampling costs one float comparison per event in
@@ -601,16 +562,7 @@ class Simulator:
             timeout._ok = True
             seq = self._seq = self._seq + 1
             timeout._entry_seq = seq
-            heap = self._qheap
-            time = self.now + delay
-            if heap is not None:
-                _heappush(heap, (time, seq, timeout))
-            else:
-                queue = self._queue
-                if time >= queue._hz:  # the wheel's pending fast path
-                    self._qpend((time, seq, timeout))
-                else:
-                    queue.push(time, seq, timeout)
+            _heappush(self._heap, (self.now + delay, seq, timeout))
             return timeout
         return Timeout(self, delay, value)
 
@@ -635,18 +587,14 @@ class Simulator:
 
     def kernel_stats(self) -> KernelStats:
         """Engine throughput counters: events/steps processed, wall time,
-        plus the event-queue backend's scheduler counters."""
-        queue = self._queue
+        heap depth and lazy-cancellation counts."""
         return KernelStats(events=self.events_processed,
                            steps=self.steps_executed,
                            wall_seconds=self.wall_seconds,
                            pooled_timeouts=len(self._timeout_pool),
-                           queue_backend=queue.name,
-                           queue_depth_peak=queue.depth_peak,
-                           tombstone_skips=queue.tombstone_skips,
-                           timeouts_cancelled=self.timeouts_cancelled,
-                           queue_spills=getattr(queue, "spills", 0),
-                           queue_cascades=getattr(queue, "cascades", 0))
+                           queue_depth_peak=self.depth_peak,
+                           tombstone_skips=self.tombstone_skips,
+                           timeouts_cancelled=self.timeouts_cancelled)
 
     def series_attach(self, run: int, registry) -> None:
         """Sample ``registry`` as ``run`` in this simulator's time series.
@@ -667,7 +615,7 @@ class Simulator:
         ``until`` after the loop drains.
         """
         limit = float("inf") if until is None else until
-        heap = self._qheap
+        heap = self._heap
         heappop = _heappop
         unhandled = self._unhandled
         pool = self._timeout_pool
@@ -678,16 +626,9 @@ class Simulator:
         events = 0
         steps = 0
         tombstones = 0
-        queue = self._queue
-        depth_peak = queue.depth_peak
-        if heap is None:
-            ready = queue._ready
-            ri = queue.ri
-            consumed = 0
+        depth_peak = self.depth_peak
         wall0 = perf_counter()
         try:
-          if heap is not None:
-            # ---- heap backend: the historical fully-inlined loop ----------
             while heap:
                 depth = len(heap)
                 if depth > depth_peak:
@@ -698,8 +639,7 @@ class Simulator:
                 if event._entry_seq != seq:
                     # tombstone: cancelled after this entry was pushed.  The
                     # skip is invisible to results (no clock advance, no
-                    # sampling, not counted as a processed event) so both
-                    # backends stay byte-identical.
+                    # sampling, not counted as a processed event).
                     tombstones += 1
                     if (event.__class__ is Timeout and len(pool) < pool_max
                             and getrefcount(event) == 2):
@@ -713,21 +653,21 @@ class Simulator:
                 if time >= next_sample:
                     next_sample = series.advance_to(time)
                 events += 1
-                if event.__class__ is Timeout:
-                    waiter = event._waiter
-                    callbacks = event.callbacks
-                    event.callbacks = None
-                    if waiter is not None:
-                        event._waiter = None
-                        if (waiter._target is event
-                                and waiter._value is _PENDING
-                                and not waiter._interrupts):
-                            # Inlined Process resume (send path): one process
-                            # sleeping on one timeout is the workload's
-                            # dominant event, so it runs with no intermediate
-                            # frames at all.  Timeouts never fail, so no _ok
-                            # check is needed here.
-                            waiter._target = None
+                waiter = event._waiter
+                callbacks = event.callbacks
+                event.callbacks = None
+                if waiter is not None:
+                    event._waiter = None
+                    if (waiter._target is event
+                            and waiter._value is _PENDING
+                            and not waiter._interrupts):
+                        # Inlined Process resume: one process sleeping on one
+                        # timeout (or resource grant, or store slot) is the
+                        # workload's dominant event, so the send path runs
+                        # with no intermediate frames at all.  Timeouts are
+                        # always _ok; only generic events can carry a failure.
+                        waiter._target = None
+                        if event._ok:
                             steps += 1
                             self._active_process = waiter
                             try:
@@ -751,219 +691,27 @@ class Simulator:
                                         waiter._wire(target)
                                 else:
                                     waiter._wire(target)
-                        elif waiter._value is _PENDING and waiter._interrupts:
-                            waiter._resume(event)
-                        # else: stale — waiter moved on or finished
-                    if callbacks:
-                        for callback in callbacks:
-                            callback(event)
-                    # Recycle the timeout when provably unreachable: the only
-                    # references left are the loop local and getrefcount's
-                    # argument.  Anything else (a condition's child list, a
-                    # variable in user code) keeps the object alive and
-                    # unpooled.
-                    if (len(pool) < pool_max and getrefcount(event) == 2):
-                        if callbacks is not None:
-                            callbacks.clear()
-                            event.callbacks = callbacks
                         else:
-                            event.callbacks = []
-                        pool.append(event)
-                else:
-                    waiter = event._waiter
-                    callbacks = event.callbacks
-                    event.callbacks = None
-                    if waiter is not None:
-                        event._waiter = None
-                        if (waiter._target is event
-                                and waiter._value is _PENDING
-                                and not waiter._interrupts):
-                            # Same inlined resume for generic events (resource
-                            # grants, store slots), which unlike timeouts may
-                            # carry a failure.
-                            waiter._target = None
-                            if event._ok:
-                                steps += 1
-                                self._active_process = waiter
-                                try:
-                                    target = waiter.generator.send(event._value)
-                                except StopIteration as stop:
-                                    self._active_process = None
-                                    waiter._finish_ok(stop.value)
-                                except BaseException as error:
-                                    self._active_process = None
-                                    waiter._finish_fail(error)
-                                else:
-                                    self._active_process = None
-                                    if (target.__class__ is Timeout
-                                            and target.sim is self
-                                            and target._waiter is None):
-                                        cbs = target.callbacks
-                                        if cbs is not None and not cbs:
-                                            target._waiter = waiter
-                                            waiter._target = target
-                                        else:
-                                            waiter._wire(target)
-                                    else:
-                                        waiter._wire(target)
-                            else:
-                                waiter._step(None, event._value)
-                        elif waiter._value is _PENDING and waiter._interrupts:
-                            waiter._resume(event)
-                        # else: stale — waiter moved on or finished
-                    if callbacks:
-                        if len(callbacks) == 1:
-                            callbacks[0](event)
-                        else:
-                            for callback in callbacks:
-                                callback(event)
-                if unhandled:
-                    process, exc = unhandled[0]
-                    # A process waiting on the failed process counts as
-                    # handling.
-                    raise SimulationError(
-                        f"unhandled exception in process {process.name!r}: "
-                        f"{exc!r}") from exc
-          else:
-            # ---- wheel backend: drain sorted bucket runs ------------------
-            # ``ready`` is the queue's current sorted run; ``ri`` the read
-            # index.  Consumed slots are None-ed so the entry tuple (and a
-            # cancelled timeout behind it) frees immediately; push() skips
-            # the None-ed prefix itself, so ``ri`` is written back only at
-            # refill and exit.  The dispatch body is a verbatim copy of the
-            # heap loop's — a per-event helper call here would cost more
-            # than the wheel saves.
-            while True:
-                if ri >= len(ready):
-                    queue.ri = ri
-                    depth = queue._n + len(queue._pending) - consumed
-                    if depth > depth_peak:
-                        depth_peak = depth
-                    refilled = queue._refill(limit)
-                    skips = queue._casc_skips
-                    if skips:
-                        tombstones += skips
-                        queue._casc_skips = 0
-                    if refilled is None:
-                        break
-                    ready = queue._ready
-                    ri = 0
-                entry = ready[ri]
-                time, seq, event = entry
-                if time > limit:
-                    break
-                ready[ri] = None
-                ri += 1
-                consumed += 1
-                entry = None
-                if event._entry_seq != seq:
-                    # tombstone: cancelled after this entry was pushed (see
-                    # the heap loop — identical skip semantics)
-                    tombstones += 1
-                    if (event.__class__ is Timeout and len(pool) < pool_max
-                            and getrefcount(event) == 2):
+                            waiter._throw(event._value)
+                    elif waiter._value is _PENDING and waiter._interrupts:
+                        waiter._resume(event)
+                    # else: stale — waiter moved on or finished
+                if callbacks:
+                    for callback in callbacks:
+                        callback(event)
+                # Recycle a timeout when provably unreachable: the only
+                # references left are the loop local and getrefcount's
+                # argument.  Anything else (a condition's child list, a
+                # variable in user code) keeps the object alive and
+                # unpooled.
+                if (event.__class__ is Timeout and len(pool) < pool_max
+                        and getrefcount(event) == 2):
+                    if callbacks is not None:
+                        callbacks.clear()
+                        event.callbacks = callbacks
+                    else:
                         event.callbacks = []
-                        event._waiter = None
-                        event._value = None
-                        event._ok = True
-                        pool.append(event)
-                    continue
-                self.now = time
-                if time >= next_sample:
-                    next_sample = series.advance_to(time)
-                events += 1
-                if event.__class__ is Timeout:
-                    waiter = event._waiter
-                    callbacks = event.callbacks
-                    event.callbacks = None
-                    if waiter is not None:
-                        event._waiter = None
-                        if (waiter._target is event
-                                and waiter._value is _PENDING
-                                and not waiter._interrupts):
-                            # Inlined Process resume — see the heap loop.
-                            waiter._target = None
-                            steps += 1
-                            self._active_process = waiter
-                            try:
-                                target = waiter.generator.send(event._value)
-                            except StopIteration as stop:
-                                self._active_process = None
-                                waiter._finish_ok(stop.value)
-                            except BaseException as error:
-                                self._active_process = None
-                                waiter._finish_fail(error)
-                            else:
-                                self._active_process = None
-                                if (target.__class__ is Timeout
-                                        and target.sim is self
-                                        and target._waiter is None):
-                                    cbs = target.callbacks
-                                    if cbs is not None and not cbs:
-                                        target._waiter = waiter
-                                        waiter._target = target
-                                    else:
-                                        waiter._wire(target)
-                                else:
-                                    waiter._wire(target)
-                        elif waiter._value is _PENDING and waiter._interrupts:
-                            waiter._resume(event)
-                        # else: stale — waiter moved on or finished
-                    if callbacks:
-                        for callback in callbacks:
-                            callback(event)
-                    if (len(pool) < pool_max and getrefcount(event) == 2):
-                        if callbacks is not None:
-                            callbacks.clear()
-                            event.callbacks = callbacks
-                        else:
-                            event.callbacks = []
-                        pool.append(event)
-                else:
-                    waiter = event._waiter
-                    callbacks = event.callbacks
-                    event.callbacks = None
-                    if waiter is not None:
-                        event._waiter = None
-                        if (waiter._target is event
-                                and waiter._value is _PENDING
-                                and not waiter._interrupts):
-                            waiter._target = None
-                            if event._ok:
-                                steps += 1
-                                self._active_process = waiter
-                                try:
-                                    target = waiter.generator.send(event._value)
-                                except StopIteration as stop:
-                                    self._active_process = None
-                                    waiter._finish_ok(stop.value)
-                                except BaseException as error:
-                                    self._active_process = None
-                                    waiter._finish_fail(error)
-                                else:
-                                    self._active_process = None
-                                    if (target.__class__ is Timeout
-                                            and target.sim is self
-                                            and target._waiter is None):
-                                        cbs = target.callbacks
-                                        if cbs is not None and not cbs:
-                                            target._waiter = waiter
-                                            waiter._target = target
-                                        else:
-                                            waiter._wire(target)
-                                    else:
-                                        waiter._wire(target)
-                            else:
-                                waiter._step(None, event._value)
-                        elif waiter._value is _PENDING and waiter._interrupts:
-                            waiter._resume(event)
-                        # else: stale — waiter moved on or finished
-                    if callbacks:
-                        if len(callbacks) == 1:
-                            callbacks[0](event)
-                        else:
-                            for callback in callbacks:
-                                callback(event)
+                    pool.append(event)
                 if unhandled:
                     process, exc = unhandled[0]
                     # A process waiting on the failed process counts as
@@ -972,11 +720,8 @@ class Simulator:
                         f"unhandled exception in process {process.name!r}: "
                         f"{exc!r}") from exc
         finally:
-            if heap is None:
-                queue.ri = ri
-                queue._n -= consumed
-            queue.depth_peak = depth_peak
-            queue.tombstone_skips += tombstones
+            self.depth_peak = depth_peak
+            self.tombstone_skips += tombstones
             self.events_processed += events
             self.steps_executed += steps
             wall = perf_counter() - wall0
@@ -998,11 +743,16 @@ class Simulator:
     def peek(self) -> float:
         """Time of the next *live* scheduled event, or ``inf`` when idle.
 
-        Cancelled (tombstoned) entries are purged on the way, so the
-        answer is identical under every queue backend.
+        Cancelled (tombstoned) entries at the head are purged on the way.
         """
-        time = self._queue.peek_time()
-        return time if time is not None else float("inf")
+        heap = self._heap
+        while heap:
+            time, seq, event = heap[0]
+            if event._entry_seq == seq:
+                return time
+            _heappop(heap)
+            self.tombstone_skips += 1
+        return float("inf")
 
     # -- engine internals -----------------------------------------------------
     def _schedule(self, event: Event, delay: float) -> None:
@@ -1011,16 +761,7 @@ class Simulator:
         event._scheduled = True
         seq = self._seq = self._seq + 1
         event._entry_seq = seq
-        heap = self._qheap
-        time = self.now + delay
-        if heap is not None:
-            _heappush(heap, (time, seq, event))
-        else:
-            queue = self._queue
-            if time >= queue._hz:      # the wheel's pending fast path
-                self._qpend((time, seq, event))
-            else:
-                queue.push(time, seq, event)
+        _heappush(self._heap, (self.now + delay, seq, event))
 
     def _note_failure(self, process: Process, exc: BaseException) -> None:
         """Abort the run for a failed process unless somebody is waiting on it.

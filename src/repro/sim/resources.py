@@ -146,18 +146,7 @@ class Resource:
         request._scheduled = True
         seq = sim._seq = sim._seq + 1
         request._entry_seq = seq
-        heap = sim._qheap
-        if heap is not None:
-            heapq.heappush(heap, (sim.now, seq, request))
-        else:
-            sim._queue.push(sim.now, seq, request)
-
-    def _pump(self) -> None:
-        while self._queue and self.in_use < self.capacity:
-            _, _, req = heapq.heappop(self._queue)
-            if req.cancelled:
-                continue
-            self._grant(req)
+        heapq.heappush(sim._heap, (sim.now, seq, request))
 
 
 class Store:

@@ -21,7 +21,7 @@ class TestArtifact:
     def test_keys_match_contract_exactly(self, artifact):
         art, _ = artifact
         assert set(art) == set(BENCH_FIELDS)
-        assert art["schema"] == bench.SCHEMA == "repro-bench/2"
+        assert art["schema"] == bench.SCHEMA == "repro-bench/3"
 
     def test_written_file_round_trips(self, artifact):
         art, path = artifact

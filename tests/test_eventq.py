@@ -1,10 +1,12 @@
-"""Equivalence suite for the pluggable event-queue backends.
+"""Event-queue ordering under timeout recycling.
 
-`HeapQueue` and `WheelQueue` must be observationally identical: same
-event orderings, same `peek()` values, same `run(until=)` cut-offs —
-including cut-offs that land exactly on wheel-bucket boundaries — and
-the same per-window tombstone accounting.  Each test drives one seeded
-workload through both backends and compares the full observable log.
+The simulator's event heap recycles fired and cancelled timeouts through a
+free list, and skips cancelled entries lazily as tombstones.  Both are pure
+optimisations: a pooled run must be observationally identical to a run with
+``Simulator(timeout_pool=0)`` — same event orderings, same ``peek()`` values,
+same ``run(until=)`` cut-offs and the same per-run tombstone accounting.
+Each test drives one seeded arm/wait/cancel workload both ways and compares
+the full observable log.
 """
 
 from __future__ import annotations
@@ -14,10 +16,6 @@ import random
 import pytest
 
 from repro.sim import Simulator
-from repro.sim.eventq import (HeapQueue, WheelQueue, make_queue,
-                              SCHED_BACKENDS)
-
-BACKENDS = sorted(SCHED_BACKENDS)
 
 
 def _mixed_workload(sim, log, rng, n_procs=25, n_steps=30):
@@ -41,10 +39,10 @@ def _mixed_workload(sim, log, rng, n_procs=25, n_steps=30):
         sim.process(proc(p))
 
 
-def _run(backend, seed, until=None, peek_at=None):
+def _run(timeout_pool, seed, until=None, peek_at=None):
     """One seeded workload run; returns (log, peeks, final now, stats)."""
     rng = random.Random(seed)
-    sim = Simulator(queue=backend)
+    sim = Simulator(timeout_pool=timeout_pool)
     log: list = []
     _mixed_workload(sim, log, rng)
     peeks = []
@@ -59,189 +57,19 @@ def _run(backend, seed, until=None, peek_at=None):
 
 @pytest.mark.parametrize("seed", [0, 1, 7, 42, 1234])
 def test_randomized_equivalence_full_run(seed):
-    heap = _run("heap", seed)
-    wheel = _run("wheel", seed)
-    assert heap == wheel
+    pooled = _run(None, seed)
+    assert pooled == _run(0, seed)
+    assert pooled[3][1] > 0             # cancelled guards drained as skips
 
 
 @pytest.mark.parametrize("seed", [3, 99])
 @pytest.mark.parametrize("until", [0.0, 1.0, 2.5, 7.75, 100.0])
 def test_run_until_cutoff_equivalence(seed, until):
-    heap = _run("heap", seed, until=until)
-    wheel = _run("wheel", seed, until=until)
-    assert heap == wheel
+    assert _run(None, seed, until=until) == _run(0, seed, until=until)
 
 
 @pytest.mark.parametrize("seed", [11, 600])
 def test_peek_equivalence_at_partial_cuts(seed):
     cuts = (0.25, 1.0, 3.5, 9.0)
-    heap = _run("heap", seed, peek_at=cuts)
-    wheel = _run("wheel", seed, peek_at=cuts)
-    assert heap == wheel
-
-
-def test_cutoffs_at_bucket_boundaries():
-    """run(until=) landing exactly on wheel tick edges must not leak or
-    hold back events relative to the heap."""
-
-    def run(backend):
-        sim = Simulator(queue=backend)
-        log = []
-
-        def proc():
-            for k in range(1, 41):
-                yield sim.timeout(0.25, value=k)
-                log.append((sim.now, k))
-
-        sim.process(proc())
-        # advance in steps that alternate between landing on and between
-        # the quarter-second event times
-        for cut in (0.25, 0.5, 1.125, 2.0, 4.75, 10.0):
-            sim.run(until=cut)
-            log.append(("cut", cut, sim.now, sim.peek()))
-        sim.run()
-        return log, sim.kernel_stats().events
-
-    assert run("heap") == run("wheel")
-
-
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_tombstone_window_accounting(backend):
-    """Every cancelled-but-still-queued guard drains as exactly one
-    tombstone skip once its due time falls inside a run window."""
-    sim = Simulator(queue=backend)
-    guards = [sim.timeout(2.0 + 0.1 * k) for k in range(10)]
-    assert all(guard.cancel() for guard in guards)
-
-    def tick():
-        yield sim.timeout(5.0)
-
-    sim.process(tick())
-    sim.run()
-    stats = sim.kernel_stats()
-    assert stats.tombstone_skips == len(guards)
-    assert stats.queue_backend == backend
-
-
-def test_tombstone_counts_match_across_backends():
-    def run(backend):
-        sim = Simulator(queue=backend)
-
-        def proc():
-            for _ in range(200):
-                guard = sim.timeout(3.0)
-                yield sim.timeout(0.01)
-                guard.cancel()
-
-        sim.process(proc())
-        windows = []
-        for cut in (1.0, 2.0, 4.0, 6.0):
-            sim.run(until=cut)
-            windows.append(sim.kernel_stats().tombstone_skips)
-        sim.run()
-        windows.append(sim.kernel_stats().tombstone_skips)
-        return windows
-
-    heap, wheel = run("heap"), run("wheel")
-    assert heap == wheel
-    assert heap[-1] > 0
-
-
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_recycled_timeout_never_double_fires(backend):
-    """Satellite regression: a cancelled `Timeout` is recycled into the
-    free list immediately; the tombstoned queue entry left behind must
-    never fire the recycled object at its *old* due time."""
-    sim = Simulator(queue=backend)
-    log = []
-
-    def churn():
-        for i in range(300):
-            # `sim.timeout(...).cancel()`-style fresh expressions recycle
-            # eagerly; the next timeout() call reuses the slot while the
-            # old entry is still queued
-            sim.timeout(10.0, value=("stale", i)).cancel()
-            got = yield sim.timeout(0.5, value=("step", i))
-            log.append((sim.now, got))
-
-    sim.process(churn())
-    sim.run()
-    expected = [(0.5 * (i + 1), ("step", i)) for i in range(300)]
-    assert log == expected
-    assert sim.timeouts_cancelled == 300
-
-
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_recycle_reuses_cancelled_slot(backend):
-    sim = Simulator(queue=backend)
-    first = sim.timeout(5.0)
-    ident = id(first)
-    # drop our reference so cancel() sees the object as unreachable
-    first.cancel()
-    del first
-    second = sim.timeout(1.0)
-    assert id(second) == ident  # recycled from the free list
-
-
-def test_make_queue_accepts_names_instances_and_default():
-    assert isinstance(make_queue(), HeapQueue)
-    assert isinstance(make_queue("heap"), HeapQueue)
-    assert isinstance(make_queue("wheel"), WheelQueue)
-    inst = WheelQueue()
-    assert make_queue(inst) is inst
-
-
-def test_make_queue_rejects_unknown_name_and_garbage():
-    with pytest.raises(ValueError, match="unknown event-queue backend"):
-        make_queue("splay")
-    with pytest.raises(TypeError):
-        make_queue(3.14)
-
-
-def test_wheel_rejects_nonpositive_granularity():
-    with pytest.raises(ValueError):
-        WheelQueue(granularity=0.0)
-    with pytest.raises(ValueError):
-        WheelQueue(granularity=-1e-3)
-
-
-def test_env_var_selects_backend(monkeypatch):
-    monkeypatch.setenv("REPRO_SCHED", "wheel")
-    assert Simulator().kernel_stats().queue_backend == "wheel"
-    monkeypatch.setenv("REPRO_SCHED", "heap")
-    assert Simulator().kernel_stats().queue_backend == "heap"
-
-
-def test_wheel_spill_and_cascade_far_future():
-    """Events far beyond the wheel horizon spill, then cascade back in
-    and still fire in exact (time, seq) order."""
-
-    def run(backend):
-        sim = Simulator(queue=backend)
-        log = []
-
-        def proc(name, delay):
-            yield sim.timeout(delay)
-            log.append((sim.now, name))
-
-        delays = [0.001 * k for k in range(1, 50)]          # dense now
-        delays += [1000.0 + 0.5 * k for k in range(40)]     # far future
-        delays += [50_000.0, 50_000.0, 120_000.0]           # deep spill
-        for n, d in enumerate(delays):
-            sim.process(proc(n, d))
-        sim.run()
-        return log
-
-    heap, wheel = run("heap"), run("wheel")
-    assert heap == wheel
-
-    sim = Simulator(queue="wheel")
-
-    def far(delay):
-        yield sim.timeout(delay)
-
-    for d in (100_000.0, 200_000.0, 300_000.0):
-        sim.process(far(d))
-    sim.run()
-    stats = sim.kernel_stats()
-    assert stats.queue_spills > 0
+    assert (_run(None, seed, peek_at=cuts)
+            == _run(0, seed, peek_at=cuts))

@@ -266,3 +266,55 @@ def test_deterministic_replay(sim):
     sim.run()
     sim2.run()
     assert log1 == log2
+
+
+# -- lazy cancellation and timeout recycling ----------------------------------
+
+def test_tombstone_window_accounting(sim):
+    """Every cancelled-but-still-queued guard drains as exactly one
+    tombstone skip once its due time falls inside a run window."""
+    guards = [sim.timeout(2.0 + 0.1 * k) for k in range(10)]
+    assert all(guard.cancel() for guard in guards)
+
+    def tick():
+        yield sim.timeout(5.0)
+
+    sim.process(tick())
+    sim.run(until=1.0)
+    assert sim.kernel_stats().tombstone_skips == 0
+    sim.run()
+    stats = sim.kernel_stats()
+    assert stats.tombstone_skips == len(guards)
+    assert stats.timeouts_cancelled == len(guards)
+
+
+def test_recycled_timeout_never_double_fires(sim):
+    """A cancelled `Timeout` is recycled into the free list immediately;
+    the tombstoned heap entry left behind must never fire the recycled
+    object at its *old* due time."""
+    log = []
+
+    def churn():
+        for i in range(300):
+            # `sim.timeout(...).cancel()`-style fresh expressions recycle
+            # eagerly; the next timeout() call reuses the slot while the
+            # old entry is still queued
+            sim.timeout(10.0, value=("stale", i)).cancel()
+            got = yield sim.timeout(0.5, value=("step", i))
+            log.append((sim.now, got))
+
+    sim.process(churn())
+    sim.run()
+    expected = [(0.5 * (i + 1), ("step", i)) for i in range(300)]
+    assert log == expected
+    assert sim.timeouts_cancelled == 300
+
+
+def test_recycle_reuses_cancelled_slot(sim):
+    first = sim.timeout(5.0)
+    ident = id(first)
+    # drop our reference so cancel() sees the object as unreachable
+    first.cancel()
+    del first
+    second = sim.timeout(1.0)
+    assert id(second) == ident  # recycled from the free list
