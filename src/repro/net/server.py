@@ -261,12 +261,18 @@ class SmtpServer:
             self._g_depth.set(sum(q.qsize() for q in self._queues))
 
     async def _worker_loop(self, queue: asyncio.Queue) -> None:
-        """One smtpd worker: finish delegated sessions, one at a time."""
+        """One smtpd worker: finish delegated sessions, one at a time.
+
+        Whatever one session raises (a reset client, a failing store) ends
+        only that session: its connection is closed and counted as lost,
+        and the worker goes on serving its queue.  Cancellation is not an
+        ``Exception`` and still stops the worker.
+        """
         while True:
             session, reader, writer = await queue.get()
             try:
                 await self._drive_until_closed(session, reader, writer)
-            except (ConnectionResetError, BrokenPipeError):
+            except Exception:
                 for action in session.connection_lost():
                     if isinstance(action, CloseSession):
                         self.stats.note_outcome(action.outcome)

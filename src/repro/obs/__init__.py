@@ -1,13 +1,15 @@
 """``repro.obs`` — the unified observability layer.
 
-A span-based tracer plus a typed metrics registry, threaded through every
+One event stream plus a typed metrics registry, threaded through every
 hot path of the reproduction: the DES kernel, the simulated mail server's
 connection lifecycle (accept → envelope → trust → fork/delegate → DATA →
 close), the MFS write/refcount paths, the DNSBL cache, and the asyncio
-server's task queues.  The set of spans and metrics that may ever be
-emitted is fixed by the contract in :mod:`repro.obs.contract` and
-documented name-for-name in ``docs/OBSERVABILITY.md`` (a test diffs the
-two).
+server's task queues.  Instrumented code states each fact once, as a
+flight-recorder event; the events that close a lifecycle phase carry its
+start ``t0`` and are projected into spans.  The set of events and metrics
+that may ever be emitted is fixed by the contract in
+:mod:`repro.obs.contract` and documented name-for-name in
+``docs/OBSERVABILITY.md`` (a test diffs the two).
 
 Tracing is off by default and adds nothing to the hot paths when off;
 enable it with :func:`capture` (or ``repro-experiments --trace OUT``):
@@ -21,16 +23,16 @@ enable it with :func:`capture` (or ``repro-experiments --trace OUT``):
 False
 >>> with capture(context={"exp": "demo"}) as tr:
 ...     run = tr.begin_run(arch="hybrid")
-...     tr.emit(run, conn=1, phase="envelope", t0=0.0, t1=1.5,
-...             attrs={"outcome": "trusted"})
+...     tr.recorder.emit("envelope.done", 1.5, run, conn=1,
+...                      attrs={"mode": "event", "outcome": "trusted"},
+...                      t0=0.0)
 ...     tr.span_count
 1
 >>> next(tr.records())["type"]
 'meta'
 """
 
-from .contract import (BENCH_FIELDS, EVENTS, INVARIANTS, METRICS,
-                       SERIES_FIELDS, SPANS, declare)
+from .contract import EVENTS, INVARIANTS, METRICS, SERIES_FIELDS, declare
 from .critical_path import (CriticalPathAnalysis, analyze_critical_path,
                             critical_path_report)
 from .diff import Divergence, diff_records, diff_report
@@ -46,8 +48,7 @@ from .trace import (NULL_TRACER, NullTracer, Tracer, active_registry,
 
 __all__ = [
     "Counter", "Gauge", "Histogram", "MetricsRegistry", "ObsError",
-    "METRICS", "SPANS", "EVENTS", "INVARIANTS", "SERIES_FIELDS",
-    "BENCH_FIELDS", "declare",
+    "METRICS", "EVENTS", "INVARIANTS", "SERIES_FIELDS", "declare",
     "Tracer", "NullTracer", "NULL_TRACER", "tracer", "active_registry",
     "capture",
     "write_trace", "read_trace", "TraceFormatError",

@@ -1,11 +1,12 @@
-"""The instrumentation contract: every span and metric the repo may emit.
+"""The instrumentation contract: each event, span and metric the repo emits.
 
-This module is the machine-readable half of ``docs/OBSERVABILITY.md``.  A
-tracer refuses to emit a span whose phase is not declared here, metric
-registration helpers pull units and help strings from here, and
-``tests/test_obs.py`` diffs the tables in the doc against these dicts —
-so an instrument cannot be added, renamed or dropped without the
-documentation moving in lockstep.
+This module is the machine-readable half of ``docs/OBSERVABILITY.md``.  The
+flight recorder refuses to emit an event kind that is not declared here;
+spans are not declared separately but projected from the events whose
+:attr:`EventSpec.span` names a phase.  Metric registration helpers pull
+units and help strings from here, and ``tests/test_obs.py`` diffs the
+tables in the doc against these dicts — so an instrument cannot be added,
+renamed or dropped without the documentation moving in lockstep.
 
 Units follow a small closed vocabulary: ``count`` (monotonic totals),
 ``seconds``, ``bytes`` and ``tasks`` (queue depths).
@@ -14,28 +15,26 @@ Units follow a small closed vocabulary: ``count`` (monotonic totals),
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Optional
 
 from .metrics import MetricsRegistry, ObsError
 
-__all__ = ["SpanSpec", "MetricSpec", "EventSpec", "InvariantSpec", "SPANS",
-           "METRICS", "EVENTS", "INVARIANTS", "SERIES_FIELDS",
-           "BENCH_FIELDS", "declare"]
-
-
-@dataclass(frozen=True)
-class SpanSpec:
-    """One span phase: its attribute names and what it covers."""
-
-    help: str
-    attrs: tuple[str, ...] = ()
+__all__ = ["MetricSpec", "EventSpec", "InvariantSpec", "METRICS", "EVENTS",
+           "INVARIANTS", "SERIES_FIELDS", "declare"]
 
 
 @dataclass(frozen=True)
 class EventSpec:
-    """One flight-recorder event kind: its attribute names and meaning."""
+    """One flight-recorder event kind: its attribute names and meaning.
+
+    ``span`` names the lifecycle phase the event closes, if any: such an
+    event is emitted with the phase start ``t0`` and, when the capture
+    keeps spans, also stored as the span ``(run, conn, span, t0, t, attrs)``.
+    """
 
     help: str
     attrs: tuple[str, ...] = ()
+    span: Optional[str] = None
 
 
 @dataclass(frozen=True)
@@ -59,48 +58,15 @@ class MetricSpec:
     deterministic: bool = True
 
 
-#: Span phases over the simulated connection lifecycle.  Every span record
-#: carries ``(conn, phase, t0, t1, attrs)`` in simulated seconds plus the
-#: run id of the server that emitted it.
-SPANS: dict[str, SpanSpec] = {
-    "connection": SpanSpec(
-        "One SMTP connection, master accept to close.  Emitted when the "
-        "session finishes; in-flight sessions at the end of a run have no "
-        "span, matching the connections.finished counter exactly.",
-        attrs=("outcome",)),      # accepted | bounce | unfinished | rejected
-    "envelope": SpanSpec(
-        "Banner -> HELO -> (DNSBL) -> MAIL/RCPT until the first valid "
-        "recipient, a bounce, or an unfinished/rejected end.",
-        attrs=("mode", "outcome")),   # mode: event | process
-    "dnsbl": SpanSpec(
-        "One blacklist check at connect time, including the wire wait on "
-        "a cache miss.",
-        attrs=("cache_hit", "listed")),
-    "fork": SpanSpec(
-        "The master forking a fresh smtpd worker (vanilla architecture "
-        "only; fork-after-trust reuses its long-lived pool)."),
-    "delegate": SpanSpec(
-        "Fork-after-trust handoff: delegation cost plus any blocking on "
-        "the bounded master->worker task socket (section 5.3).",
-        attrs=("queue_depth",)),
-    "data": SpanSpec(
-        "One DATA transaction: command, body transfer, queue-file write, "
-        "250 reply.  One span per accepted mail.",
-        attrs=("bytes",)),
-    "delivery": SpanSpec(
-        "Queue manager + local delivery of one accepted mail to all its "
-        "recipient mailboxes.",
-        attrs=("rcpts", "bytes")),
-}
-
-
 #: Flight-recorder event kinds (see :mod:`repro.obs.flightrec`).  Every
 #: event record carries ``(seq, t, run, conn, kind, attrs)``: ``seq`` is a
 #: per-capture monotonic counter, ``t`` is simulated seconds on the emitting
 #: clock (0.0 for clock-less subsystems such as the real-filesystem MFS
 #: store), ``run`` is the server run id (0 for capture-level subsystems) and
 #: ``conn`` is the per-server connection id — except for ``mfs.*`` events,
-#: where ``conn`` carries the store instance number instead.
+#: where ``conn`` carries the store instance number instead.  Kinds with a
+#: ``span`` phase close one span of the simulated connection lifecycle;
+#: its ``t1`` is the event's ``t`` and its attrs are the event's attrs.
 EVENTS: dict[str, EventSpec] = {
     "run.begin": EventSpec(
         "One MailServerSim came up; anchors the run id to its architecture "
@@ -109,16 +75,26 @@ EVENTS: dict[str, EventSpec] = {
     "conn.open": EventSpec(
         "The master accepted a connection.", attrs=("ip",)),
     "conn.close": EventSpec(
-        "The session finished (same outcomes as the connection span).",
-        attrs=("outcome",)),    # accepted | bounce | unfinished | rejected
+        "The session finished.  Its span covers master accept to close; "
+        "in-flight sessions at the end of a run have none, matching the "
+        "connections.finished counter exactly.",
+        attrs=("outcome",),     # accepted | bounce | unfinished | rejected
+        span="connection"),
     "smtp.mail": EventSpec(
         "MAIL FROM processed; the FSM entered a new envelope.",
         attrs=("rcpts",)),
     "smtp.rcpt": EventSpec(
         "RCPT TO answered (250 or bounce).", attrs=("valid",)),
     "envelope.done": EventSpec(
-        "The envelope phase ended (trusted sessions continue into DATA).",
-        attrs=("mode", "outcome")),
+        "The envelope phase ended: banner -> HELO -> (DNSBL) -> MAIL/RCPT "
+        "until the first valid recipient, a bounce, or an "
+        "unfinished/rejected end (trusted sessions continue into DATA).",
+        attrs=("mode", "outcome"),    # mode: event | process
+        span="envelope"),
+    "dnsbl.check": EventSpec(
+        "One blacklist check at connect time finished, including the wire "
+        "wait on a cache miss.",
+        attrs=("cache_hit", "listed"), span="dnsbl"),
     "dnsbl.lookup": EventSpec(
         "One provider resolved a client IP (cache hit or wire query).",
         attrs=("ip", "key", "hit", "listed")),
@@ -130,17 +106,22 @@ EVENTS: dict[str, EventSpec] = {
         "A cache entry was dropped (TTL expiry or LRU eviction).",
         attrs=("key", "reason")),
     "fork": EventSpec(
-        "The master forked a fresh smtpd (vanilla architecture).",
-        attrs=("pid",)),
+        "The master forked a fresh smtpd (vanilla architecture; "
+        "fork-after-trust reuses its long-lived pool).",
+        attrs=("pid",), span="fork"),
     "delegate": EventSpec(
-        "Fork-after-trust handoff to a pooled worker (hybrid).",
-        attrs=("depth",)),
+        "Fork-after-trust handoff to a pooled worker (hybrid): delegation "
+        "cost plus any blocking on the bounded master->worker task socket "
+        "(section 5.3).",
+        attrs=("depth",), span="delegate"),
     "data": EventSpec(
-        "DATA accepted and queued; one event per accepted mail.",
-        attrs=("bytes",)),
+        "DATA accepted and queued: command, body transfer, queue-file "
+        "write, 250 reply.  One event per accepted mail.",
+        attrs=("bytes",), span="data"),
     "delivery": EventSpec(
-        "One queued mail delivered to all its recipient mailboxes.",
-        attrs=("rcpts", "bytes")),
+        "Queue manager + local delivery of one queued mail to all its "
+        "recipient mailboxes.",
+        attrs=("rcpts", "bytes"), span="delivery"),
     "mfs.open": EventSpec(
         "mail_open: a mailbox handle was created (real-filesystem MFS).",
         attrs=("mailbox",)),
@@ -311,32 +292,6 @@ SERIES_FIELDS: dict[str, str] = {
                "deltas, gauges as {value, peak} snapshots, histograms as "
                "{count, sum, buckets} deltas; unchanged metrics omitted",
 }
-
-#: Field vocabulary for ``repro-bench`` artifacts (``BENCH_<runstamp>.json``).
-#: :func:`repro.harness.bench.run_bench` refuses to write an artifact whose
-#: keys differ from this set, and ``docs/OBSERVABILITY.md`` mirrors it.
-BENCH_FIELDS: dict[str, str] = {
-    "schema": "artifact schema identifier, currently 'repro-bench/3'",
-    "runstamp": "UTC wall-clock stamp YYYYMMDDTHHMMSSZ, also in the filename",
-    "python": "interpreter version the benchmark ran under",
-    "platform": "OS/machine string from platform.platform()",
-    "scale": "'quick' or 'full' benchmark scale",
-    "kernel_events_per_sec": "DES-kernel events/sec, best of N runs of the "
-                             "Figure-8-shaped microbench",
-    "kernel_steps_per_sec": "DES-kernel generator resumes/sec on the same "
-                            "microbench run",
-    "kernel_timeout_churn_per_sec": "DES-kernel queue entries drained "
-                                    "(live + tombstoned) per second on the "
-                                    "arm/cancel-dominated guard-timer "
-                                    "microbench",
-    "figures": "per-experiment wall-clock seconds for the fixed figure "
-               "subset, as {experiment id: seconds}",
-    "tracing_overhead_pct": "percent wall-time cost of running the "
-                            "microbench under capture(series) vs untraced",
-    "peak_rss_kb": "peak resident set size of the benchmark process in KiB",
-    "total_wall_seconds": "wall-clock seconds for the whole bench run",
-}
-
 
 def declare(registry: MetricsRegistry, name: str):
     """Register ``name`` on ``registry`` with its contract kind and unit.

@@ -25,6 +25,14 @@ Two capacity modes:
 Events are stored as ``(seq, t, run, conn, kind, attrs)`` tuples; ``seq``
 restarts per capture (the harness captures per experiment), so recordings
 are deterministic at any ``--jobs``.
+
+Spans are a projection of the same stream.  An event kind whose contract
+entry names a ``span`` phase must be emitted with the phase start ``t0``
+(and no other kind may carry one); when the capture keeps spans, the
+recorder appends ``(run, conn, phase, t0, t, attrs)`` to the tracer's span
+list, so each lifecycle fact is stated once.  A capture that keeps spans
+but neither records nor runs watchdogs uses ``maxlen=0``: every event is
+checked and projected, none is stored.
 """
 
 from __future__ import annotations
@@ -59,24 +67,43 @@ def event_as_dict(event: tuple, context: Optional[dict] = None) -> dict:
 class FlightRecorder:
     """Collects contract-checked events for one capture."""
 
-    __slots__ = ("maxlen", "_events", "_seq", "_stores", "on_event")
+    __slots__ = ("maxlen", "_events", "_seq", "_stores", "on_event", "spans")
 
     def __init__(self, maxlen: Optional[int] = DEFAULT_RING,
-                 on_event: Optional[Callable[[tuple], None]] = None):
+                 on_event: Optional[Callable[[tuple], None]] = None,
+                 spans: Optional[list] = None):
         self.maxlen = maxlen
         self._events: deque = deque(maxlen=maxlen)
         self._seq = 0
         self._stores = 0
         #: called with each event tuple as it is emitted (the watchdogs)
         self.on_event = on_event
+        #: the tracer's span list, or ``None`` when spans are not kept
+        self.spans = spans
 
     def emit(self, kind: str, t: float, run: int = 0, conn: int = 0,
-             attrs: Optional[dict] = None) -> None:
-        """Record one event.  ``kind`` must be in the contract."""
-        if kind not in EVENTS:
+             attrs: Optional[dict] = None,
+             t0: Optional[float] = None) -> None:
+        """Record one event.  ``kind`` must be in the contract.
+
+        ``t0`` is required exactly for the kinds that close a span (their
+        contract ``span`` phase), and is the span's start.
+        """
+        spec = EVENTS.get(kind)
+        if spec is None:
             raise ObsError(f"event kind {kind!r} is not in the "
                            "instrumentation contract (repro.obs.contract."
                            "EVENTS)")
+        phase = spec.span
+        if phase is None:
+            if t0 is not None:
+                raise ObsError(f"event kind {kind!r} closes no span and "
+                               "takes no t0")
+        elif t0 is None:
+            raise ObsError(f"event kind {kind!r} closes a {phase!r} span "
+                           "and needs its start t0")
+        elif self.spans is not None:
+            self.spans.append((run, conn, phase, t0, t, attrs))
         self._seq += 1
         event = (self._seq, t, run, conn, kind, attrs)
         self._events.append(event)

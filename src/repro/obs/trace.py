@@ -8,12 +8,18 @@ The DES kernel goes further — it publishes its counters once per
 ``Simulator.run`` call, never per event, so even an *enabled* tracer adds
 no per-event work.
 
+Spans are not emitted on their own: an instrumented module emits one
+flight-recorder event per lifecycle fact, and the events that close a
+phase carry its start ``t0`` — the recorder projects them into this
+tracer's span list (see :mod:`repro.obs.flightrec`).
+
 Enable tracing with the :func:`capture` context manager; the harness does
 this around each experiment for ``repro-experiments --trace``:
 
 >>> with capture(context={"exp": "demo"}) as tr:
 ...     run = tr.begin_run(arch="hybrid")
-...     tr.emit(run, 1, "envelope", 0.0, 1.5, {"outcome": "trusted"})
+...     tr.recorder.emit("envelope.done", 1.5, run, 1,
+...                      {"mode": "event", "outcome": "trusted"}, t0=0.0)
 >>> [r["phase"] for r in tr.records() if r["type"] == "span"]
 ['envelope']
 >>> tracer() is NULL_TRACER
@@ -25,7 +31,7 @@ from __future__ import annotations
 from contextlib import contextmanager
 from typing import Any, Iterator, Optional
 
-from .contract import METRICS, SERIES_FIELDS, SPANS, declare
+from .contract import METRICS, SERIES_FIELDS, declare
 from .metrics import MetricsRegistry, ObsError
 
 #: raw sample-record fields (context keys like ``exp`` merge in later)
@@ -60,7 +66,6 @@ class Tracer:
         self.context = dict(context or {})
         self._runs: list[tuple[int, dict]] = []
         self._spans: list[tuple] = []
-        self._keep_spans = keep_spans
         self._metrics: list[tuple[int, dict]] = []
         self._samples: list[dict] = []
         # run_base offsets run and simulator ids — the harness gives each
@@ -72,13 +77,20 @@ class Tracer:
         self._on_sample = on_sample
         # flight recorder + invariant watchdogs: ``record`` keeps the full
         # stream (for --record dumps); watchdogs alone bound memory with a
-        # ring, keeping only violation/crash context
+        # ring, keeping only violation/crash context; spans alone store no
+        # events, since spans are projected from the stream as it flows
         self.recorder = None
         self.invariants = None
-        if record or watchdogs:
+        if record or watchdogs or keep_spans:
             from .flightrec import DEFAULT_RING, FlightRecorder
+            if record:
+                maxlen = None
+            elif watchdogs:
+                maxlen = ring or DEFAULT_RING
+            else:
+                maxlen = 0
             self.recorder = FlightRecorder(
-                maxlen=None if record else (ring or DEFAULT_RING))
+                maxlen=maxlen, spans=self._spans if keep_spans else None)
             if watchdogs:
                 from .invariants import InvariantEngine
                 self.invariants = InvariantEngine(self.recorder)
@@ -101,16 +113,7 @@ class Tracer:
         self._runs.append((self._next_run, attrs))
         return self._next_run
 
-    def emit(self, run: int, conn: int, phase: str, t0: float, t1: float,
-             attrs: Optional[dict] = None) -> None:
-        """Record one completed span.  ``phase`` must be in the contract."""
-        if phase not in SPANS:
-            raise ObsError(f"span phase {phase!r} is not in the "
-                           "instrumentation contract (repro.obs.contract)")
-        if self._keep_spans:
-            self._spans.append((run, conn, phase, t0, t1, attrs))
-
-    def emit_metrics(self, run: int, dump: dict) -> None:
+    def attach_metrics(self, run: int, dump: dict) -> None:
         """Attach a metrics-registry dump to ``run``."""
         self._metrics.append((run, dump))
 
@@ -238,10 +241,7 @@ class NullTracer:
     def begin_run(self, **attrs: Any) -> int:
         return 0
 
-    def emit(self, *args: Any, **kwargs: Any) -> None:
-        pass
-
-    def emit_metrics(self, run: int, dump: dict) -> None:
+    def attach_metrics(self, run: int, dump: dict) -> None:
         pass
 
     def note_kernel(self, events: int, steps: int, wall: float,
@@ -308,7 +308,10 @@ def capture(context: Optional[dict] = None,
     (``tr.record_records()`` / ``--record OUT``); ``watchdogs=True`` runs
     the online invariant engine over the stream, bounding memory with a
     ring of ``ring`` events when the full stream is not kept.
-    ``keep_spans=False`` validates span emissions but discards them — the
+    Spans are projected from the span-closing events (see
+    :mod:`repro.obs.flightrec`), so a capture that keeps spans always has
+    a recorder — one that stores no events when neither ``record`` nor
+    ``watchdogs`` is set.  ``keep_spans=False`` drops the projection — the
     harness uses it when only watchdogs are wanted, so an always-on run
     does not accumulate an unbounded span list.
     ``run_base`` offsets run/simulator ids (see :class:`Tracer`) — the

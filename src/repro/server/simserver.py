@@ -20,12 +20,15 @@ The OS-process accounting (pids, context switches, forks) is handled by
 :class:`repro.sim.resources.CPU`; mailbox writes are priced by the
 filesystem cost models via the planners in :mod:`repro.server.ioplan`.
 
-When tracing is enabled (``repro.obs.capture``) the server emits one span
-per lifecycle phase — ``connection``, ``envelope``, ``dnsbl``, ``fork``,
-``delegate``, ``data``, ``delivery`` — keyed by a per-server connection id;
-the span catalogue lives in ``docs/OBSERVABILITY.md``.  With tracing off
-(the default) every emission site is behind an ``is not None`` check on an
-attribute that is ``None``, so the simulation pays nothing.
+When tracing is enabled (``repro.obs.capture``) the server states each
+lifecycle fact once, as a flight-recorder event keyed by a per-server
+connection id.  The events that close a phase (``conn.close``,
+``envelope.done``, ``dnsbl.check``, ``fork``, ``delegate``, ``data``,
+``delivery``) carry its start ``t0``, and the recorder projects them into
+spans when the capture keeps spans; ``docs/OBSERVABILITY.md`` maps each
+event to its span.  With tracing off (the default) every emission site is
+behind an ``is not None`` check on an attribute that is ``None``, so the
+simulation pays nothing.
 """
 
 from __future__ import annotations
@@ -81,7 +84,7 @@ class MailServerSim:
         if self._tr is not None:
             # time-series sampling: diff this server's registry per window
             sim.series_attach(self._run, self.metrics.registry)
-        self._rec = tr.recorder if tr.enabled else None
+        self._rec = tr.recorder
         if self._rec is not None:
             self._rec.emit("run.begin", sim.now, self._run,
                            attrs={"arch": config.architecture,
@@ -129,7 +132,7 @@ class MailServerSim:
         if self._tr is not None:
             # dumped before any steady-state-window rebasing, so the trace's
             # aggregate counters match the full-run span stream exactly
-            self._tr.emit_metrics(self._run, m.dump())
+            self._tr.attach_metrics(self._run, m.dump())
         return m
 
     # -------------------------------------------------------- vanilla path --
@@ -148,14 +151,12 @@ class MailServerSim:
             self._forking += 1
             t_fork = self.sim.now
             yield from self.cpu.fork(MASTER_PID)
-            if self._tr is not None:
-                self._tr.emit(self._run, cid, "fork", t_fork, self.sim.now)
             self._forking -= 1
             worker = _Worker(next(self._pids),
                              Store(self.sim, capacity=1))
             if self._rec is not None:
                 self._rec.emit("fork", self.sim.now, self._run, cid,
-                               {"pid": worker.pid})
+                               {"pid": worker.pid}, t0=t_fork)
             self._workers.append(worker)
             self._idle.append(worker)
             self.sim.process(self._vanilla_worker_loop(worker),
@@ -227,12 +228,9 @@ class MailServerSim:
         if not worker.inbox.try_put(task):
             # all sockets full: the finite buffers throttle the master
             yield worker.inbox.put(task)
-        if self._tr is not None:
-            self._tr.emit(self._run, cid, "delegate", t_deleg, self.sim.now,
-                          {"queue_depth": len(worker.inbox)})
         if self._rec is not None:
             self._rec.emit("delegate", self.sim.now, self._run, cid,
-                           {"depth": len(worker.inbox)})
+                           {"depth": len(worker.inbox)}, t0=t_deleg)
 
     def _pick_hybrid_worker(self) -> _Worker:
         """Round-robin over the worker pool, growing it up to the limit."""
@@ -310,12 +308,10 @@ class MailServerSim:
         if self.resolver is not None:
             rejected = yield from self._dnsbl_check(conn, pid, cid)
             if rejected:
-                if self._tr is not None:
-                    self._tr.emit(self._run, cid, "envelope", t0, sim.now,
-                                  {"mode": mode, "outcome": "rejected"})
                 if self._rec is not None:
                     self._rec.emit("envelope.done", sim.now, self._run, cid,
-                                   {"mode": mode, "outcome": "rejected"})
+                                   {"mode": mode, "outcome": "rejected"},
+                                   t0=t0)
                 self._finish(conn, t0, rejected=True,
                              cid=cid, t_conn=t_conn, outcome="rejected")
                 return None
@@ -324,12 +320,10 @@ class MailServerSim:
         if conn.unfinished:
             yield from cpu.compute(pid, command_cost)        # QUIT
             self.metrics.unfinished_connections += 1
-            if self._tr is not None:
-                self._tr.emit(self._run, cid, "envelope", t0, sim.now,
-                              {"mode": mode, "outcome": "unfinished"})
             if self._rec is not None:
                 self._rec.emit("envelope.done", sim.now, self._run, cid,
-                               {"mode": mode, "outcome": "unfinished"})
+                               {"mode": mode, "outcome": "unfinished"},
+                               t0=t0)
             self._finish(conn, t0, cid=cid, t_conn=t_conn,
                          outcome="unfinished")
             return None
@@ -354,23 +348,17 @@ class MailServerSim:
                     # fork-after-trust boundary: first valid recipient.
                     # The already-validated recipient plus the rest of this
                     # mail's envelope travel with the delegation.
-                    if self._tr is not None:
-                        self._tr.emit(self._run, cid, "envelope", t0, sim.now,
-                                      {"mode": mode, "outcome": "trusted"})
                     if rec is not None:
                         rec.emit("envelope.done", sim.now, self._run, cid,
-                                 {"mode": mode, "outcome": "trusted"})
+                                 {"mode": mode, "outcome": "trusted"}, t0=t0)
                     return (_TrustedMail(mail, r_index + 1),
                             conn.mails[index + 1:])
             # every recipient of this mail bounced; next MAIL (if any)
         yield from cpu.compute(pid, command_cost)        # QUIT
         self.metrics.bounce_connections += 1
-        if self._tr is not None:
-            self._tr.emit(self._run, cid, "envelope", t0, sim.now,
-                          {"mode": mode, "outcome": "bounce"})
         if self._rec is not None:
             self._rec.emit("envelope.done", sim.now, self._run, cid,
-                           {"mode": mode, "outcome": "bounce"})
+                           {"mode": mode, "outcome": "bounce"}, t0=t0)
         self._finish(conn, t0, cid=cid, t_conn=t_conn, outcome="bounce")
         return None
 
@@ -432,12 +420,9 @@ class MailServerSim:
                                         op.nbytes)
         yield from self._rtt()                     # 250 queued
         self.metrics.mails_accepted += 1
-        if self._tr is not None:
-            self._tr.emit(self._run, cid, "data", t0, self.sim.now,
-                          {"bytes": mail.size})
         if self._rec is not None:
             self._rec.emit("data", self.sim.now, self._run, cid,
-                           {"bytes": mail.size})
+                           {"bytes": mail.size}, t0=t0)
         if self.config.discard_delivery:
             # sinkhole mode: accept, count, and drop (no mailbox writes)
             return
@@ -460,10 +445,10 @@ class MailServerSim:
             yield from self.cpu.compute(
                 pid, costs.dns_query_cost * max(1, result.queries_issued))
             yield self.sim.timeout(result.latency)
-        if self._tr is not None:
-            self._tr.emit(self._run, cid, "dnsbl", t0, self.sim.now,
-                          {"cache_hit": result.cache_hit,
-                           "listed": result.listed})
+        if self._rec is not None:
+            self._rec.emit("dnsbl.check", self.sim.now, self._run, cid,
+                           {"cache_hit": result.cache_hit,
+                            "listed": result.listed}, t0=t0)
         if result.listed and self.reject_blacklisted:
             self.metrics.dnsbl_rejects += 1
             return True
@@ -479,12 +464,9 @@ class MailServerSim:
         # (data-phase start for accepted sessions), matching the pre-obs
         # figures; the connection span covers the whole session (t_conn →)
         self.metrics.observe_session(self.sim.now - t0)
-        if self._tr is not None:
-            self._tr.emit(self._run, cid, "connection", t_conn, self.sim.now,
-                          {"outcome": outcome})
         if self._rec is not None:
             self._rec.emit("conn.close", self.sim.now, self._run, cid,
-                           {"outcome": outcome})
+                           {"outcome": outcome}, t0=t_conn)
 
     # ----------------------------------------------------------- delivery --
     def _delivery_loop(self, pid: int):
@@ -512,12 +494,9 @@ class MailServerSim:
                 yield from self.disk.io(self.config.fs_model.cost(op),
                                         op.nbytes)
             self.metrics.mailbox_writes += n_rcpts
-            if self._tr is not None:
-                self._tr.emit(self._run, cid, "delivery", t0, self.sim.now,
-                              {"rcpts": n_rcpts, "bytes": size})
             if self._rec is not None:
                 self._rec.emit("delivery", self.sim.now, self._run, cid,
-                               {"rcpts": n_rcpts, "bytes": size})
+                               {"rcpts": n_rcpts, "bytes": size}, t0=t0)
 
 
 class _TrustedMail:

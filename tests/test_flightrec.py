@@ -38,8 +38,8 @@ class TestFlightRecorder:
 
     def test_every_contract_kind_accepted(self):
         rec = FlightRecorder(maxlen=None)
-        for kind in EVENTS:
-            rec.emit(kind, 0.0)
+        for kind, spec in EVENTS.items():
+            rec.emit(kind, 0.0, t0=None if spec.span is None else 0.0)
         assert rec.total_events == len(EVENTS)
 
     def test_ring_drops_oldest_and_counts_them(self):
@@ -57,7 +57,7 @@ class TestFlightRecorder:
     def test_unbounded_mode_keeps_everything(self):
         rec = FlightRecorder(maxlen=None)
         for i in range(10_000):
-            rec.emit("data", 0.0, attrs={"bytes": i})
+            rec.emit("data", 0.0, attrs={"bytes": i}, t0=0.0)
         assert rec.event_count == rec.total_events == 10_000
         assert next(rec.records())["dropped"] == 0
 
@@ -66,7 +66,7 @@ class TestFlightRecorder:
         rec = FlightRecorder(maxlen=2, on_event=seen.append)
         rec.emit("conn.open", 1.0, run=3, conn=7, attrs={"ip": "x"})
         rec.emit("conn.close", 2.0, run=3, conn=7,
-                 attrs={"outcome": "accepted"})
+                 attrs={"outcome": "accepted"}, t0=1.0)
         assert seen == [(1, 1.0, 3, 7, "conn.open", {"ip": "x"}),
                         (2, 2.0, 3, 7, "conn.close",
                          {"outcome": "accepted"})]
@@ -77,9 +77,15 @@ class TestFlightRecorder:
 
 
 class TestCaptureIntegration:
-    def test_capture_without_flags_has_no_recorder(self):
+    def test_capture_without_flags_stores_no_events(self):
+        # the recorder is there only to project spans: it keeps no events
         with capture() as tr:
-            assert tr.recorder is None and tr.invariants is None
+            assert tr.recorder.maxlen == 0 and tr.invariants is None
+            tr.recorder.emit("conn.close", 1.0, run=1, conn=1,
+                             attrs={"outcome": "accepted"}, t0=0.0)
+            assert tr.recorder.event_count == 0 and tr.span_count == 1
+        with capture(keep_spans=False) as tr:
+            assert tr.recorder is None
             assert list(tr.record_records()) == []
         assert list(tracer().record_records()) == []   # NullTracer too
 
@@ -98,7 +104,7 @@ class TestCaptureIntegration:
             assert tr.recorder.maxlen == 16
             assert tr.recorder.on_event == tr.invariants.observe
             for i in range(100):
-                tr.recorder.emit("data", 0.0, attrs={"bytes": 1})
+                tr.recorder.emit("data", 0.0, attrs={"bytes": 1}, t0=0.0)
             assert tr.recorder.event_count == 16
         # the engine saw all 100 events, not just the surviving ring
         assert tr.invariants._queued != {}
@@ -339,7 +345,7 @@ class TestInvariants:
                      attrs={"arch": "hybrid", "storage": "mbox"})
             rec.emit("conn.open", 0.0, run=1, conn=1,
                      attrs={"ip": "1.2.3.4"})
-            rec.emit("fork", 0.1, run=1, conn=1, attrs={"pid": 3})
+            rec.emit("fork", 0.1, run=1, conn=1, attrs={"pid": 3}, t0=0.0)
             violations = tr.invariants.finish()
         (v,) = violations
         assert v.invariant == "fork-ledger"

@@ -5,7 +5,7 @@ import asyncio
 import pytest
 
 from repro.dnsbl import DnsblServer, DnsblZone
-from repro.errors import DnsError
+from repro.errors import DnsError, StorageError
 from repro.mfs import MfsStore, fsck
 from repro.net import (AsyncDnsblResolver, ClosedLoadGenerator,
                        NetServerConfig, SmtpClient, SmtpServer,
@@ -133,6 +133,35 @@ class TestForkAfterTrustSpecifics:
             assert server.stats.rejected_sessions == 1
             assert server.stats.handoffs == 0
             store.close()
+        run(scenario())
+
+    def test_worker_survives_a_failing_store(self, tmp_path):
+        class FailingStore(MboxStore):
+            def deliver(self, message):
+                if any(r.mailbox == "carol@dest.example"
+                       for r in message.recipients):
+                    raise StorageError("carol's mailbox is broken")
+                return super().deliver(message)
+
+        async def scenario():
+            store = FailingStore(tmp_path)
+            server = make_server(store, worker_pool_size=1)
+            await server.start()
+            try:
+                poisoned = await SmtpClient(
+                    "127.0.0.1", server.port,
+                    [OutgoingMail("s@x.com", ["carol@dest.example"],
+                                  b"x\r\n")], timeout=5.0).run()
+                assert not poisoned[0].delivered
+                # the one worker must still answer the next session
+                results = await SmtpClient(
+                    "127.0.0.1", server.port,
+                    [OutgoingMail("s@x.com", ["alice@dest.example"],
+                                  b"ok\r\n")], timeout=5.0).run()
+                assert results[0].delivered
+            finally:
+                await server.stop()             # must not re-raise
+            assert store.list_mailbox("alice@dest.example")
         run(scenario())
 
 

@@ -15,9 +15,9 @@ from repro.clients import ClosedLoopClient
 from repro.core import make_dnsbl_bank
 from repro.harness.cli import main as cli_main
 from repro.harness.parallel import run_experiments
-from repro.obs import (BENCH_FIELDS, EVENTS, INVARIANTS, METRICS,
-                       NULL_TRACER, Counter, MetricsRegistry, ObsError,
-                       SERIES_FIELDS, SPANS, capture, read_trace, reconcile,
+from repro.obs import (EVENTS, INVARIANTS, METRICS, NULL_TRACER, Counter,
+                       FlightRecorder, MetricsRegistry, ObsError,
+                       SERIES_FIELDS, capture, read_trace, reconcile,
                        trace_report, tracer, write_trace)
 from repro.server import MailServerSim, ServerConfig
 from repro.sim import Simulator
@@ -137,7 +137,7 @@ class TestRuntime:
         tr = tracer()
         assert tr is NULL_TRACER and not tr.enabled
         assert tr.begin_run(arch="hybrid") == 0
-        tr.emit(0, 1, "connection", 0.0, 1.0)
+        assert tr.recorder is None
         assert tr.span_count == 0 and list(tr.records()) == []
 
     def test_capture_enables_and_restores(self):
@@ -149,10 +149,13 @@ class TestRuntime:
             assert tracer() is tr
         assert not tracer().enabled
 
-    def test_unknown_phase_rejected(self):
-        with capture() as tr:
-            with pytest.raises(ObsError):
-                tr.emit(1, 1, "warp", 0.0, 1.0)
+    def test_t0_required_exactly_for_span_kinds(self):
+        rec = FlightRecorder(maxlen=None, spans=[])
+        with pytest.raises(ObsError):
+            rec.emit("data", 1.0, attrs={"bytes": 1})        # span, no t0
+        with pytest.raises(ObsError):
+            rec.emit("conn.open", 1.0, attrs={"ip": "x"}, t0=0.0)
+        assert rec.total_events == 0 and rec.spans == []
 
     def test_wall_clock_metrics_excluded_from_records(self):
         with capture() as tr:
@@ -233,6 +236,46 @@ class TestServerSpans:
         server, records = _traced_run(ServerConfig.hybrid())
         runs = [r for r in records if r["type"] == "run"]
         assert runs[0]["attrs"]["arch"] == "hybrid"
+
+
+class TestSpanProjection:
+    """Spans are the span-closing events, projected one for one."""
+
+    @staticmethod
+    def _spans_and_events(config, resolver=None):
+        trace = bounce_sweep_trace(0.4, n_connections=60,
+                                   unfinished_ratio=0.1)
+        if resolver is not None:
+            resolver = make_dnsbl_bank({c.client_ip for c in trace[::3]},
+                                       resolver)
+        with capture(context={"exp": "unit"}, record=True) as tr:
+            sim = Simulator()
+            server = MailServerSim(sim, config, resolver=resolver,
+                                   reject_blacklisted=resolver is not None)
+            ClosedLoopClient(sim, server, trace, concurrency=10).start()
+            sim.run()
+            server.finalize(sim.now)
+        spans = [r for r in tr.records() if r["type"] == "span"]
+        events = [r for r in tr.record_records() if r["type"] == "event"
+                  and EVENTS[r["kind"]].span is not None]
+        return spans, events
+
+    @pytest.mark.parametrize("config, resolver", [
+        (ServerConfig.hybrid(dnsbl_mode="ip"), "ip"),
+        (ServerConfig(architecture="vanilla", process_limit=5), None),
+    ], ids=["hybrid-dnsbl", "vanilla"])
+    def test_every_span_is_one_span_closing_event(self, config, resolver):
+        spans, events = self._spans_and_events(config, resolver)
+        assert len(spans) == len(events) > 0
+        for span, event in zip(spans, events):
+            assert (span["run"], span["conn"]) == (event["run"],
+                                                   event["conn"])
+            assert span["phase"] == EVENTS[event["kind"]].span
+            assert span["t1"] == event["t"] and span["t0"] <= span["t1"]
+            assert span.get("attrs") == event.get("attrs")
+        phases = {span["phase"] for span in spans}
+        assert ("dnsbl" in phases) == (resolver is not None)
+        assert ("fork" in phases) == (config.architecture == "vanilla")
 
 
 # -- reconciliation -----------------------------------------------------------
@@ -386,7 +429,14 @@ class TestContractDocSync:
         return set(re.findall(r"^\| `([^`]+)`", match.group(1), re.M))
 
     def test_every_span_documented(self):
-        assert self._documented("Span catalogue") == set(SPANS)
+        """Each span row names the event it is projected from."""
+        text = (REPO / "docs" / "OBSERVABILITY.md").read_text()
+        section = re.search(r"^## Span catalogue$(.*?)(?=^## |\Z)",
+                            text, re.M | re.S).group(1)
+        rows = dict(re.findall(r"^\| `([^`]+)` \| `([^`]+)` \|",
+                               section, re.M))
+        assert rows == {spec.span: kind for kind, spec in EVENTS.items()
+                        if spec.span is not None}
 
     def test_every_metric_documented(self):
         assert self._documented("Metric catalogue") == set(METRICS)
@@ -394,10 +444,6 @@ class TestContractDocSync:
     def test_every_series_field_documented(self):
         assert (self._documented("Time-series record format")
                 == set(SERIES_FIELDS))
-
-    def test_every_bench_field_documented(self):
-        assert (self._documented("Benchmark artifact format")
-                == set(BENCH_FIELDS))
 
     def test_every_event_documented(self):
         assert self._documented("Event catalogue") == set(EVENTS)
