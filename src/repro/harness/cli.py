@@ -121,7 +121,7 @@ def _profile_one(exp_id: str, scale: str) -> int:
     profiler.dump_stats(dump)
     print(render_result(result))
     print()
-    for name in ("kernel.events", "kernel.steps", "kernel.tombstone_skips"):
+    for name in ("kernel.events", "kernel.steps"):
         metric = tr.registry.get(name)
         if metric is not None:
             print(f"  {name:<24} {metric.dump()}")

@@ -106,6 +106,8 @@ class SmtpServer:
         self._server: Optional[asyncio.Server] = None
         self._workers: list[asyncio.Task] = []
         self._queues: list[asyncio.Queue] = []
+        #: live ``_on_connection`` tasks (the master phase of each session)
+        self._connections: set[asyncio.Task] = set()
         self._rr = 0
         self._delivery_failures = 0
         reg = active_registry()
@@ -132,16 +134,24 @@ class SmtpServer:
         return sockname[0], sockname[1]
 
     async def stop(self) -> None:
+        """Stop accepting, then end every live session and the workers.
+
+        Connection handlers and workers are cancelled and awaited (each
+        closes the connection it holds); sessions still queued for a worker
+        have their connections closed here.
+        """
         if self._server is not None:
             self._server.close()
+        tasks = [*self._connections, *self._workers]
+        for task in tasks:
+            task.cancel()
+        await asyncio.gather(*tasks, return_exceptions=True)
+        for queue in self._queues:
+            while not queue.empty():
+                _, _, writer = queue.get_nowait()
+                writer.close()
+        if self._server is not None:
             await self._server.wait_closed()
-        for worker in self._workers:
-            worker.cancel()
-        for worker in self._workers:
-            try:
-                await worker
-            except asyncio.CancelledError:
-                pass
         self._workers.clear()
         self._queues.clear()
 
@@ -159,6 +169,8 @@ class SmtpServer:
     # -- connection handling -------------------------------------------------
     async def _on_connection(self, reader: asyncio.StreamReader,
                              writer: asyncio.StreamWriter) -> None:
+        task = asyncio.current_task()
+        self._connections.add(task)
         self.stats.connections += 1
         if self._c_conns is not None:
             self._c_conns.inc()
@@ -190,6 +202,7 @@ class SmtpServer:
                     await writer.wait_closed()
                 except (ConnectionResetError, BrokenPipeError):
                     pass
+            self._connections.discard(task)
 
     async def _blacklist_reject(self, session: ServerSession,
                                 writer: asyncio.StreamWriter) -> bool:

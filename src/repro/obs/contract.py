@@ -225,13 +225,8 @@ METRICS: dict[str, MetricSpec] = {
         deterministic=False),
     "kernel.queue_depth_peak": MetricSpec(
         "gauge", "count",
-        "Peak number of scheduled entries (live + tombstoned) the event "
-        "queue held during any Simulator.run in this capture."),
-    "kernel.tombstone_skips": MetricSpec(
-        "counter", "count",
-        "Cancelled (tombstoned) heap entries dropped at pop by "
-        "Simulator.run or Simulator.peek — cancelled timeouts are skipped "
-        "lazily, never extracted."),
+        "Peak number of scheduled entries the event queue held during "
+        "any Simulator.run in this capture."),
     # -- DNSBL cache (capture-level; aggregated over all resolvers) ---------
     "dnsbl.cache.hits": MetricSpec(
         "counter", "count", "TTL-cache hits (Fig. 15 numerator)."),

@@ -27,8 +27,8 @@ that path allocation-free where it can:
 * :meth:`Simulator.timeout` reuses :class:`Timeout` objects from a free list
   instead of constructing a fresh event per yield.  A timeout is returned to
   the pool only when the run loop can prove (via the CPython reference count)
-  that nothing else — a condition, a process, user code — still references
-  it, so recycling is invisible to the API.  Pass ``timeout_pool=0`` to
+  that nothing else — a process, user code — still references it, so
+  recycling is invisible to the API.  Pass ``timeout_pool=0`` to
   disable pooling entirely; results are bit-identical either way.
 * :meth:`Process._resume` inlines the send path instead of allocating a
   closure per resume, and yielded timeouts are wired to the process without
@@ -36,12 +36,11 @@ that path allocation-free where it can:
 * The heap sequence number is a plain integer increment rather than
   ``itertools.count``.
 * :meth:`Simulator.run` is one loop with one dispatch body that resumes the
-  waiting process inline, and counts events/steps and wall time, exposed
-  via :meth:`Simulator.kernel_stats`.
-* :meth:`Timeout.cancel` tombstones a pending timeout in place — the heap
-  entry is skipped when it drains instead of firing and no-oping — and
-  recycles the object into the free list immediately when nothing else
-  references it.
+  waiting process inline, and counts events/steps, wall time and peak heap
+  depth, exposed via :meth:`Simulator.kernel_stats`.
+* Every heap entry fires: there is no cancellation, so a pop needs no
+  liveness check, and a process waits on exactly one event at a time, so
+  a wakeup is never stale.
 
 Example
 -------
@@ -60,30 +59,14 @@ Example
 from __future__ import annotations
 
 import heapq
-import os
 import sys
-from collections import deque
 from time import perf_counter
-from typing import Any, Callable, Generator, Iterable, Optional
+from typing import Any, Callable, Generator, Optional
 
 from ..obs.trace import tracer as _obs_tracer
 from .stats import KernelStats
 
-__all__ = [
-    "Event",
-    "Timeout",
-    "Process",
-    "AnyOf",
-    "AllOf",
-    "Interrupt",
-    "SimulationError",
-    "Simulator",
-]
-
-#: default free-list capacity for pooled :class:`Timeout` objects; override
-#: per-simulator with ``Simulator(timeout_pool=...)`` or globally via the
-#: ``REPRO_SIM_TIMEOUT_POOL`` environment variable (0 disables pooling).
-DEFAULT_TIMEOUT_POOL = int(os.environ.get("REPRO_SIM_TIMEOUT_POOL", "1024"))
+__all__ = ["Event", "Timeout", "Process", "SimulationError", "Simulator"]
 
 # Pooling relies on CPython reference counts to prove a timeout is unreachable
 # before recycling it; on runtimes without refcounts we simply never recycle.
@@ -97,17 +80,6 @@ class SimulationError(Exception):
     """Raised for illegal uses of the simulation API."""
 
 
-class Interrupt(Exception):
-    """Thrown into a process that is interrupted via :meth:`Process.interrupt`.
-
-    The ``cause`` attribute carries the value passed to ``interrupt()``.
-    """
-
-    def __init__(self, cause: Any = None):
-        super().__init__(cause)
-        self.cause = cause
-
-
 class Event:
     """A one-shot occurrence in simulated time.
 
@@ -117,18 +89,12 @@ class Event:
 
     ``_waiter`` carries the single process suspended on this event — the
     dominant case — letting the run loop resume it directly instead of going
-    through the callback list.  Additional subscribers (conditions, a second
-    process) still use ``callbacks`` and run after the waiter, preserving
-    subscription order.
-
-    ``_entry_seq`` ties the event to its live queue entry: every push stamps
-    the event with the entry's sequence number, and the run loop drops any
-    entry whose stamp no longer matches (a tombstone — see
-    :meth:`Timeout.cancel`).  0 means "no live entry".
+    through the callback list.  Additional subscribers (user callbacks, a
+    second process) still use ``callbacks`` and run after the waiter,
+    preserving subscription order.
     """
 
-    __slots__ = ("sim", "callbacks", "_value", "_ok", "_scheduled", "_waiter",
-                 "_entry_seq")
+    __slots__ = ("sim", "callbacks", "_value", "_ok", "_scheduled", "_waiter")
 
     #: sentinel for "not yet triggered"
     _PENDING = object()
@@ -140,7 +106,6 @@ class Event:
         self._ok: bool = True
         self._scheduled = False
         self._waiter: Optional["Process"] = None
-        self._entry_seq: int = 0
 
     # -- state ------------------------------------------------------------
     @property
@@ -205,16 +170,8 @@ class Event:
         return f"<{type(self).__name__} {state} at {id(self):#x}>"
 
 
-_PENDING = Event._PENDING
-
-
 class Timeout(Event):
-    """An event that fires ``delay`` simulated seconds after creation.
-
-    A pending timeout can be revoked with :meth:`cancel` — the idiom for
-    guard timers (per-command SMTP timeouts, watchdogs) that are armed on
-    every request and almost never fire.
-    """
+    """An event that fires ``delay`` simulated seconds after creation."""
 
     __slots__ = ("delay",)
 
@@ -227,52 +184,6 @@ class Timeout(Event):
         self._ok = True
         sim._schedule(self, delay)
 
-    def cancel(self) -> bool:
-        """Revoke the timeout so it never fires; returns False if too late.
-
-        The heap entry is *tombstoned* in place — lazily skipped when it
-        drains — rather than extracted, so cancellation is O(1).
-        Cancelling consumes the timeout: callbacks are dropped and the
-        object may be recycled into the simulator's free list at once,
-        so a cancelled timeout must not be reused or waited on.  Cancelling
-        a timeout some process is currently waiting on is an error (it
-        would strand the process forever — interrupt the process instead).
-        """
-        callbacks = self.callbacks
-        if callbacks is None or self._entry_seq == 0:
-            return False                # already fired, or already cancelled
-        waiter = self._waiter
-        if (waiter is not None and waiter._target is self
-                and waiter._value is _PENDING):
-            raise SimulationError(
-                f"cannot cancel {self!r}: process {waiter.name!r} is "
-                "waiting on it (interrupt the process instead)")
-        for callback in callbacks:
-            owner = getattr(callback, "__self__", None)
-            if (isinstance(owner, Process) and owner._target is self
-                    and owner._value is _PENDING):
-                raise SimulationError(
-                    f"cannot cancel {self!r}: process {owner.name!r} is "
-                    "waiting on it (interrupt the process instead)")
-        self._entry_seq = 0             # tombstone the queue entry
-        self._waiter = None
-        self.callbacks = None
-        sim = self.sim
-        sim.timeouts_cancelled += 1
-        # Recycle immediately when provably unreachable.  The references at
-        # this point are: getrefcount's argument, the method's ``self``, the
-        # queue entry tuple, and — when called through a variable rather
-        # than on a fresh expression — the caller's binding.  Anything
-        # beyond 4 means user code or a condition still holds the object.
-        pool = sim._timeout_pool
-        if len(pool) < sim._pool_max and _getrefcount(self) <= 4:
-            callbacks.clear()
-            self.callbacks = callbacks
-            self._value = None
-            self._ok = True
-            pool.append(self)
-        return True
-
 
 class Process(Event):
     """A simulated process driven by a generator.
@@ -284,7 +195,7 @@ class Process(Event):
     nobody is waiting).
     """
 
-    __slots__ = ("generator", "name", "_target", "_interrupts", "_had_waiter")
+    __slots__ = ("generator", "name", "_had_waiter")
 
     def __init__(self, sim: "Simulator", generator: Generator,
                  name: Optional[str] = None):
@@ -294,8 +205,6 @@ class Process(Event):
         super().__init__(sim)
         self.generator = generator
         self.name = name or getattr(generator, "__name__", "process")
-        self._target: Optional[Event] = None
-        self._interrupts: deque[Interrupt] = deque()
         self._had_waiter = False
         # Kick the process off via an immediately-firing timeout (pooled)
         # so it starts *inside* the run loop at the current time.
@@ -315,17 +224,6 @@ class Process(Event):
         self._had_waiter = True
         super().add_callback(callback)
 
-    def interrupt(self, cause: Any = None) -> None:
-        """Throw :class:`Interrupt` into the process at the current time.
-
-        Interrupting a finished process is an error; interrupting a process
-        that is about to be resumed queues the interrupt.
-        """
-        if self.triggered:
-            raise SimulationError(f"cannot interrupt finished {self.name!r}")
-        self._interrupts.append(Interrupt(cause))
-        self.sim.timeout(0.0).callbacks.append(self._resume)
-
     # -- engine internals ---------------------------------------------------
     def _resume(self, trigger: Event) -> None:
         """Resume the generator after ``trigger`` fired.
@@ -334,17 +232,6 @@ class Process(Event):
         so the dominant send path is fully inlined here rather than split
         across helper calls; :meth:`_throw` handles the rare throw cases.
         """
-        if self._value is not _PENDING:
-            return  # already finished (e.g. interrupt raced with completion)
-        if self._interrupts:
-            interrupt = self._interrupts.popleft()
-            self._target = None
-            self._throw(interrupt)
-            return
-        target = self._target
-        if target is not None and trigger is not target:
-            return  # stale wakeup for an event we no longer wait on
-        self._target = None
         if not trigger._ok:
             self._throw(trigger._value)
             return
@@ -371,15 +258,13 @@ class Process(Event):
                 self._resume(target)
             elif not callbacks and target._waiter is None:
                 target._waiter = self
-                self._target = target
             else:
-                self._target = target
                 callbacks.append(self._resume)
             return
         self._wire(target)
 
     def _throw(self, exc: BaseException) -> None:
-        """Throw ``exc`` into the generator: an interrupt or a failed event.
+        """Throw the exception of a failed event into the generator.
 
         Sends are inlined in :meth:`_resume` and :meth:`Simulator.run`.
         """
@@ -413,7 +298,6 @@ class Process(Event):
         if isinstance(target, Process):
             # processes track waiters (unhandled-failure audit) — go through
             # their add_callback override
-            self._target = target
             target.add_callback(self._resume)
             return
         callbacks = target.callbacks
@@ -421,9 +305,7 @@ class Process(Event):
             self._resume(target)
         elif not callbacks and target._waiter is None:
             target._waiter = self       # run-loop inline resume
-            self._target = target
         else:
-            self._target = target
             callbacks.append(self._resume)
 
     def _finish_ok(self, value: Any) -> None:
@@ -441,101 +323,33 @@ class Process(Event):
         return f"<Process {self.name!r} {'done' if self.triggered else 'alive'}>"
 
 
-class _Condition(Event):
-    """Base for :class:`AnyOf` / :class:`AllOf`."""
-
-    __slots__ = ("events", "_outstanding")
-
-    def __init__(self, sim: "Simulator", events: Iterable[Event]):
-        super().__init__(sim)
-        self.events = list(events)
-        for event in self.events:
-            if event.sim is not sim:
-                raise SimulationError("condition mixes simulators")
-        self._outstanding = len(self.events)
-        if not self.events:
-            self.succeed({})
-        else:
-            for event in self.events:
-                event.add_callback(self._on_child)
-
-    def _on_child(self, event: Event) -> None:
-        raise NotImplementedError
-
-    def _collect(self) -> dict:
-        # ``processed`` (callbacks ran), not merely ``triggered``: timeouts
-        # are triggered at creation but have not *occurred* until processed.
-        return {e: e.value for e in self.events if e.processed and e.ok}
-
-
-class AnyOf(_Condition):
-    """Succeeds as soon as any constituent event succeeds.
-
-    The value is a dict mapping the already-triggered events to their values.
-    A failing child fails the condition.
-    """
-
-    __slots__ = ()
-
-    def _on_child(self, event: Event) -> None:
-        if self.triggered:
-            return
-        if not event.ok:
-            self.fail(event.value)
-        else:
-            self.succeed(self._collect())
-
-
-class AllOf(_Condition):
-    """Succeeds once every constituent event has succeeded."""
-
-    __slots__ = ()
-
-    def _on_child(self, event: Event) -> None:
-        if self.triggered:
-            return
-        if not event.ok:
-            self.fail(event.value)
-            return
-        self._outstanding -= 1
-        if self._outstanding == 0:
-            self.succeed(self._collect())
-
-
 class Simulator:
     """The event loop: a binary heap of events over simulated time.
 
     ``timeout_pool`` bounds the :class:`Timeout` free list (0 disables
-    pooling; the default comes from :data:`DEFAULT_TIMEOUT_POOL`).  Pooling
-    is purely an allocation optimisation — event ordering and results are
-    identical with it on or off.
+    pooling).  Pooling is purely an allocation optimisation — event ordering
+    and results are identical with it on or off.
     """
 
     __slots__ = ("now", "_heap", "_seq", "_active_process",
                  "_unhandled", "_pool_max", "_timeout_pool",
                  "events_processed", "steps_executed", "wall_seconds",
-                 "timeouts_cancelled", "depth_peak", "tombstone_skips",
-                 "_obs", "_series", "_rec")
+                 "depth_peak", "_obs", "_series", "_rec")
 
-    def __init__(self, timeout_pool: Optional[int] = None):
+    def __init__(self, timeout_pool: int = 1024):
         self.now: float = 0.0
-        #: ``(time, seq, event)`` entries; ``seq`` breaks same-time ties in
-        #: push order and identifies the live entry (see Event._entry_seq)
+        #: ``(time, seq, event)``; ``seq`` breaks same-time ties in push order
         self._heap: list = []
         self._seq: int = 0
         self._active_process: Optional[Process] = None
         self._unhandled: list[tuple[Process, BaseException]] = []
-        if timeout_pool is None:
-            timeout_pool = DEFAULT_TIMEOUT_POOL
         self._pool_max: int = timeout_pool if _getrefcount is not None else 0
         self._timeout_pool: list[Timeout] = []
         # kernel instrumentation (see kernel_stats())
         self.events_processed: int = 0
         self.steps_executed: int = 0
         self.wall_seconds: float = 0.0
-        self.timeouts_cancelled: int = 0
         self.depth_peak: int = 0
-        self.tombstone_skips: int = 0
         # observability: counters publish once per run() call, never per
         # event, so tracing adds no per-event work even when enabled.
         # Time-series sampling costs one float comparison per event in
@@ -561,7 +375,6 @@ class Simulator:
             timeout._value = value
             timeout._ok = True
             seq = self._seq = self._seq + 1
-            timeout._entry_seq = seq
             _heappush(self._heap, (self.now + delay, seq, timeout))
             return timeout
         return Timeout(self, delay, value)
@@ -574,27 +387,19 @@ class Simulator:
         """Start a new process from ``generator``."""
         return Process(self, generator, name=name)
 
-    def any_of(self, events: Iterable[Event]) -> AnyOf:
-        return AnyOf(self, events)
-
-    def all_of(self, events: Iterable[Event]) -> AllOf:
-        return AllOf(self, events)
-
     @property
     def active_process(self) -> Optional[Process]:
         """The process currently being stepped, if any."""
         return self._active_process
 
     def kernel_stats(self) -> KernelStats:
-        """Engine throughput counters: events/steps processed, wall time,
-        heap depth and lazy-cancellation counts."""
+        """Engine throughput counters: events/steps processed, wall time and
+        peak heap depth."""
         return KernelStats(events=self.events_processed,
                            steps=self.steps_executed,
                            wall_seconds=self.wall_seconds,
                            pooled_timeouts=len(self._timeout_pool),
-                           queue_depth_peak=self.depth_peak,
-                           tombstone_skips=self.tombstone_skips,
-                           timeouts_cancelled=self.timeouts_cancelled)
+                           queue_depth_peak=self.depth_peak)
 
     def series_attach(self, run: int, registry) -> None:
         """Sample ``registry`` as ``run`` in this simulator's time series.
@@ -625,7 +430,6 @@ class Simulator:
         next_sample = series.next_at if series is not None else float("inf")
         events = 0
         steps = 0
-        tombstones = 0
         depth_peak = self.depth_peak
         wall0 = perf_counter()
         try:
@@ -635,20 +439,7 @@ class Simulator:
                     depth_peak = depth
                 if heap[0][0] > limit:
                     break
-                time, seq, event = heappop(heap)
-                if event._entry_seq != seq:
-                    # tombstone: cancelled after this entry was pushed.  The
-                    # skip is invisible to results (no clock advance, no
-                    # sampling, not counted as a processed event).
-                    tombstones += 1
-                    if (event.__class__ is Timeout and len(pool) < pool_max
-                            and getrefcount(event) == 2):
-                        event.callbacks = []
-                        event._waiter = None
-                        event._value = None
-                        event._ok = True
-                        pool.append(event)
-                    continue
+                time, _, event = heappop(heap)
                 self.now = time
                 if time >= next_sample:
                     next_sample = series.advance_to(time)
@@ -657,60 +448,48 @@ class Simulator:
                 callbacks = event.callbacks
                 event.callbacks = None
                 if waiter is not None:
+                    # Inlined Process resume: one process sleeping on one
+                    # timeout (or resource grant, or store slot) is the
+                    # workload's dominant event, so the send path runs with
+                    # no intermediate frames at all.  Timeouts are always
+                    # _ok; only generic events can carry a failure.
                     event._waiter = None
-                    if (waiter._target is event
-                            and waiter._value is _PENDING
-                            and not waiter._interrupts):
-                        # Inlined Process resume: one process sleeping on one
-                        # timeout (or resource grant, or store slot) is the
-                        # workload's dominant event, so the send path runs
-                        # with no intermediate frames at all.  Timeouts are
-                        # always _ok; only generic events can carry a failure.
-                        waiter._target = None
-                        if event._ok:
-                            steps += 1
-                            self._active_process = waiter
-                            try:
-                                target = waiter.generator.send(event._value)
-                            except StopIteration as stop:
-                                self._active_process = None
-                                waiter._finish_ok(stop.value)
-                            except BaseException as error:
-                                self._active_process = None
-                                waiter._finish_fail(error)
-                            else:
-                                self._active_process = None
-                                if (target.__class__ is Timeout
-                                        and target.sim is self
-                                        and target._waiter is None):
-                                    cbs = target.callbacks
-                                    if cbs is not None and not cbs:
-                                        target._waiter = waiter
-                                        waiter._target = target
-                                    else:
-                                        waiter._wire(target)
+                    if event._ok:
+                        steps += 1
+                        self._active_process = waiter
+                        try:
+                            target = waiter.generator.send(event._value)
+                        except StopIteration as stop:
+                            self._active_process = None
+                            waiter._finish_ok(stop.value)
+                        except BaseException as error:
+                            self._active_process = None
+                            waiter._finish_fail(error)
+                        else:
+                            self._active_process = None
+                            if (target.__class__ is Timeout
+                                    and target.sim is self
+                                    and target._waiter is None):
+                                cbs = target.callbacks
+                                if cbs is not None and not cbs:
+                                    target._waiter = waiter
                                 else:
                                     waiter._wire(target)
-                        else:
-                            waiter._throw(event._value)
-                    elif waiter._value is _PENDING and waiter._interrupts:
-                        waiter._resume(event)
-                    # else: stale — waiter moved on or finished
+                            else:
+                                waiter._wire(target)
+                    else:
+                        waiter._throw(event._value)
                 if callbacks:
                     for callback in callbacks:
                         callback(event)
                 # Recycle a timeout when provably unreachable: the only
                 # references left are the loop local and getrefcount's
-                # argument.  Anything else (a condition's child list, a
-                # variable in user code) keeps the object alive and
-                # unpooled.
+                # argument.  Anything else (a variable in user code) keeps
+                # the object alive and unpooled.
                 if (event.__class__ is Timeout and len(pool) < pool_max
                         and getrefcount(event) == 2):
-                    if callbacks is not None:
-                        callbacks.clear()
-                        event.callbacks = callbacks
-                    else:
-                        event.callbacks = []
+                    callbacks.clear()
+                    event.callbacks = callbacks
                     pool.append(event)
                 if unhandled:
                     process, exc = unhandled[0]
@@ -721,14 +500,12 @@ class Simulator:
                         f"{exc!r}") from exc
         finally:
             self.depth_peak = depth_peak
-            self.tombstone_skips += tombstones
             self.events_processed += events
             self.steps_executed += steps
             wall = perf_counter() - wall0
             self.wall_seconds += wall
             if self._obs is not None:
-                self._obs.note_kernel(events, steps, wall, tombstones,
-                                      depth_peak)
+                self._obs.note_kernel(events, steps, wall, depth_peak)
             if self._rec is not None:
                 # wall time is deliberately absent: recordings must be
                 # byte-identical across runs and --jobs counts
@@ -740,27 +517,12 @@ class Simulator:
             if series is not None and series.next_at <= until:
                 series.advance_to(until)
 
-    def peek(self) -> float:
-        """Time of the next *live* scheduled event, or ``inf`` when idle.
-
-        Cancelled (tombstoned) entries at the head are purged on the way.
-        """
-        heap = self._heap
-        while heap:
-            time, seq, event = heap[0]
-            if event._entry_seq == seq:
-                return time
-            _heappop(heap)
-            self.tombstone_skips += 1
-        return float("inf")
-
     # -- engine internals -----------------------------------------------------
     def _schedule(self, event: Event, delay: float) -> None:
         if event._scheduled:
             raise SimulationError(f"{event!r} scheduled twice")
         event._scheduled = True
         seq = self._seq = self._seq + 1
-        event._entry_seq = seq
         _heappush(self._heap, (self.now + delay, seq, event))
 
     def _note_failure(self, process: Process, exc: BaseException) -> None:

@@ -33,10 +33,9 @@ class Request(Event):
     """The event returned by :meth:`Resource.request`.
 
     Succeeds when the requesting process holds one unit of the resource.
-    Cancel a queued request with :meth:`cancel` (e.g. on interrupt).
     """
 
-    __slots__ = ("resource", "cancelled", "priority")
+    __slots__ = ("resource", "priority")
 
     def __init__(self, resource: "Resource", priority: int = 0):
         # flattened Event.__init__ — requests are created once per simulated
@@ -48,14 +47,7 @@ class Request(Event):
         self._scheduled = False
         self._waiter = None
         self.resource = resource
-        self.cancelled = False
         self.priority = priority
-
-    def cancel(self) -> None:
-        """Withdraw a not-yet-granted request; granted requests must release."""
-        if self.triggered:
-            raise SimulationError("cannot cancel a granted request; release it")
-        self.cancelled = True
 
 
 class Resource:
@@ -99,7 +91,7 @@ class Resource:
 
     @property
     def queue_length(self) -> int:
-        return sum(1 for _, _, r in self._queue if not r.cancelled)
+        return len(self._queue)
 
     def request(self, priority: int = 0) -> Request:
         """Return an event that fires when a unit is held.
@@ -129,9 +121,7 @@ class Resource:
             raise SimulationError(f"double release on resource {self.name!r}")
         queue = self._queue
         while queue and self.in_use < self.capacity:
-            _, _, req = heapq.heappop(queue)
-            if not req.cancelled:
-                self._grant(req)
+            self._grant(heapq.heappop(queue)[2])
 
     def _grant(self, request: Request) -> None:
         """Hand a unit to ``request`` — inlined succeed + schedule, one grant
@@ -145,7 +135,6 @@ class Resource:
         sim = self.sim
         request._scheduled = True
         seq = sim._seq = sim._seq + 1
-        request._entry_seq = seq
         heapq.heappush(sim._heap, (sim.now, seq, request))
 
 

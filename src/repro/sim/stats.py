@@ -1,4 +1,4 @@
-"""Metric collection: counters, time series, and empirical CDFs.
+"""Metric collection: time series, empirical CDFs and kernel counters.
 
 The paper's evaluation reports two kinds of data: *series* (throughput vs.
 bounce ratio / recipients / offered load) and *CDFs* (recipients per mail,
@@ -12,9 +12,9 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional
 
-__all__ = ["Counter", "Cdf", "TimeSeries", "KernelStats", "summarize"]
+__all__ = ["Cdf", "TimeSeries", "KernelStats"]
 
 
 @dataclass
@@ -26,11 +26,8 @@ class KernelStats:
     ``Simulator.run``.  The rates make kernel regressions visible without a
     profiler: every figure experiment is bounded by events/sec.
 
-    The queue fields describe the simulator's event heap:
-    ``queue_depth_peak`` is the largest number of entries held at once
-    (cancelled-but-undrained ones included), ``tombstone_skips`` counts
-    cancelled entries dropped at pop, and ``timeouts_cancelled`` counts
-    ``Timeout.cancel()`` calls.
+    ``queue_depth_peak`` is the largest number of entries the simulator's
+    event heap held at once.
     """
 
     events: int = 0
@@ -38,7 +35,7 @@ class KernelStats:
     wall_seconds: float = 0.0
     pooled_timeouts: int = 0
     queue_depth_peak: int = 0
-    tombstone_skips: int = 0
+    #: always 0 (timeouts cannot be cancelled); kept for the benchmark's hooks
     timeouts_cancelled: int = 0
 
     @property
@@ -58,37 +55,12 @@ class KernelStats:
             "steps_per_sec": self.steps_per_sec,
             "pooled_timeouts": float(self.pooled_timeouts),
             "queue_depth_peak": float(self.queue_depth_peak),
-            "tombstone_skips": float(self.tombstone_skips),
-            "timeouts_cancelled": float(self.timeouts_cancelled),
         }
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"KernelStats(events={self.events}, steps={self.steps}, "
                 f"wall={self.wall_seconds:.3f}s, "
                 f"{self.events_per_sec:,.0f} ev/s)")
-
-
-class Counter:
-    """A named bag of monotonically increasing counters."""
-
-    def __init__(self):
-        self._counts: dict[str, float] = {}
-
-    def add(self, name: str, amount: float = 1.0) -> None:
-        self._counts[name] = self._counts.get(name, 0.0) + amount
-
-    def get(self, name: str) -> float:
-        return self._counts.get(name, 0.0)
-
-    def as_dict(self) -> dict[str, float]:
-        return dict(self._counts)
-
-    def __getitem__(self, name: str) -> float:
-        return self.get(name)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        inner = ", ".join(f"{k}={v:g}" for k, v in sorted(self._counts.items()))
-        return f"Counter({inner})"
 
 
 class Cdf:
@@ -208,23 +180,3 @@ class TimeSeries:
         if not chosen:
             raise ValueError(f"no samples in [{t0}, {t1})")
         return sum(chosen) / len(chosen)
-
-
-def summarize(values: Sequence[float]) -> dict[str, float]:
-    """Basic summary statistics of a sample as a plain dict."""
-    if not values:
-        raise ValueError("cannot summarise an empty sample")
-    ordered = sorted(values)
-    n = len(ordered)
-    mean = sum(ordered) / n
-    var = sum((v - mean) ** 2 for v in ordered) / n
-    return {
-        "n": float(n),
-        "mean": mean,
-        "std": math.sqrt(var),
-        "min": ordered[0],
-        "p50": ordered[n // 2],
-        "p90": ordered[min(n - 1, int(0.9 * n))],
-        "p99": ordered[min(n - 1, int(0.99 * n))],
-        "max": ordered[-1],
-    }

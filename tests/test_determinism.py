@@ -5,14 +5,18 @@ runner and the result cache are all pure optimisations: every one of them
 must leave simulation results byte-identical.  These tests pin that down.
 """
 
-import repro.sim.core as sim_core
+import itertools
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from repro.harness import EXPERIMENTS, ResultCache, run_experiments
-from repro.sim import AllOf, AnyOf, Interrupt, Simulator
+from repro.sim import Simulator
 from repro.sim.resources import CPU, Resource, Store
 
 
 def _scenario(sim):
-    """A workload touching timeouts, resources, stores and interrupts."""
+    """A workload touching timeouts, resources and stores."""
     log = []
     cpu = CPU(sim, cores=1)
     store = Store(sim, capacity=4)
@@ -33,22 +37,10 @@ def _scenario(sim):
             lock.release(req)
             log.append(("got", sim.now, pid, item))
 
-    def sleeper():
-        try:
-            yield sim.timeout(1.0)
-        except Interrupt as interrupt:
-            log.append(("interrupted", sim.now, interrupt.cause))
-
-    def interrupter(victim):
-        yield sim.timeout(5e-3)
-        victim.interrupt("wake")
-
     for pid in range(4):
         sim.process(producer(pid))
     for pid in range(4):
         sim.process(consumer(100 + pid))
-    victim = sim.process(sleeper())
-    sim.process(interrupter(victim))
     sim.run()
     return log
 
@@ -64,7 +56,9 @@ def test_pool_on_off_event_log_identical():
 def test_pool_on_off_experiment_identical(monkeypatch):
     """A full server experiment is byte-identical with pooling disabled."""
     fresh = EXPERIMENTS["mfs-sinkhole"]().run(scale="quick")
-    monkeypatch.setattr(sim_core, "DEFAULT_TIMEOUT_POOL", 0)
+    init = Simulator.__init__
+    monkeypatch.setattr(Simulator, "__init__",
+                        lambda self, timeout_pool=0: init(self, 0))
     unpooled = EXPERIMENTS["mfs-sinkhole"]().run(scale="quick")
     assert fresh.rows == unpooled.rows
     assert fresh.anchors == unpooled.anchors
@@ -106,50 +100,57 @@ def test_cache_clear(tmp_path):
     assert cache.get("fig3", "quick") is None
 
 
-# -- conditions vs the pooled fast path ------------------------------------
+# -- timeout pool vs the unpooled reference -----------------------------------
 
-def test_anyof_late_child_not_recycled():
-    """A timeout still held by AnyOf must not be recycled and aliased."""
-    sim = Simulator()
-    seen = {}
+def _replay(schedules, cuts, timeout_pool):
+    """Run one process per delay list, stopping at each ``run(until=)`` cut.
 
-    def waiter():
-        short = sim.timeout(1.0, value="short")
-        long = sim.timeout(5.0, value="long")
-        result = yield AnyOf(sim, [short, long])
-        seen["any"] = list(result.values())
-        seen["long_value_after_any"] = long._value
-        # churn the pool hard while the long timeout is still in the heap
-        for _ in range(200):
-            yield sim.timeout(0.001)
-        seen["long_value_after_churn"] = long.value
-        seen["long_ok"] = long.ok
+    Returns the firing log ``(time, due, push index, value)``, the clock
+    around each cut, the final clock and the kernel's event/step counts.
+    """
+    sim = Simulator(timeout_pool=timeout_pool)
+    log = []
+    pushes = itertools.count()
 
-    sim.process(waiter())
+    def proc(pid, delays):
+        for step, delay in enumerate(delays):
+            due = sim.now + delay
+            push = next(pushes)
+            value = yield sim.timeout(delay, value=(pid, step))
+            log.append((sim.now, due, push, value))
+
+    for pid, delays in enumerate(schedules):
+        sim.process(proc(pid, delays))
+    clocks = []
+    for cut in cuts:
+        before = sim.now
+        sim.run(until=cut)
+        clocks.append((len(log), before, sim.now))
     sim.run()
-    assert seen["any"] == ["short"]
-    assert seen["long_value_after_any"] == "long"
-    assert seen["long_value_after_churn"] == "long"
-    assert seen["long_ok"] is True
+    stats = sim.kernel_stats()
+    return log, clocks, sim.now, stats.events, stats.steps
 
 
-def test_allof_values_with_pool_churn():
-    sim = Simulator()
-    seen = {}
+_delays = st.one_of(st.just(0.0), st.sampled_from((0.5, 1.0, 2.0)),
+                    st.floats(0.0, 8.0))
 
-    def churn():
-        for _ in range(500):
-            yield sim.timeout(0.001)
 
-    def waiter():
-        events = [sim.timeout(float(i), value=i) for i in (3, 1, 2)]
-        result = yield AllOf(sim, events)
-        seen["values"] = [result[e] for e in events]
-
-    sim.process(churn())
-    sim.process(waiter())
-    sim.run()
-    assert seen["values"] == [3, 1, 2]
+@settings(max_examples=150, deadline=None)
+@given(schedules=st.lists(st.lists(_delays, max_size=10), min_size=1,
+                          max_size=10),
+       cuts=st.lists(st.floats(0.0, 40.0), max_size=4),
+       timeout_pool=st.sampled_from((1, 4, 1024)))
+def test_pooled_run_matches_unpooled(schedules, cuts, timeout_pool):
+    """Timeouts fire in (time, push order); pooling changes nothing."""
+    log, clocks, now, events, steps = _replay(schedules, cuts, timeout_pool)
+    assert (log, clocks, now, events, steps) == _replay(schedules, cuts, 0)
+    assert all(fired == due for fired, due, *_ in log)
+    assert [entry[:3] for entry in log] == sorted(entry[:3] for entry in log)
+    for (n_fired, before, after), cut in zip(clocks, cuts):
+        assert after == max(before, cut)
+        assert all(entry[0] <= after for entry in log[:n_fired])
+        assert all(entry[0] > after for entry in log[n_fired:])
+    assert len(log) == sum(map(len, schedules))
 
 
 def test_shared_timeout_waiter_plus_callback():

@@ -95,7 +95,55 @@ class TestSmtpServerArchitectures:
         run(scenario())
 
 
+async def _stall_after(host, port, *lines):
+    """Open a client that sends ``lines``, reads each reply, then stalls."""
+    reader, writer = await asyncio.open_connection(host, port)
+    await reader.readline()                     # banner
+    for line in lines:
+        writer.write(line)
+        await writer.drain()
+        while (await reader.readline())[3:4] == b"-":
+            pass                                # multi-line reply
+    return reader, writer
+
+
+async def _assert_stopped(server, clients):
+    """``stop()`` ends every session: EOF at each client, no task left."""
+    await asyncio.wait_for(server.stop(), 2.0)
+    for reader, writer in clients:
+        assert await asyncio.wait_for(reader.read(), 1.0) == b""
+        writer.close()
+    pending = [t for t in asyncio.all_tasks()
+               if t is not asyncio.current_task()]
+    assert pending == []
+
+
+@pytest.mark.parametrize("arch", ["fork-after-trust", "task-per-connection"])
+def test_stop_ends_a_stalled_session(tmp_path, arch):
+    async def scenario():
+        server = make_server(MboxStore(tmp_path), arch)
+        host, port = await server.start()
+        client = await _stall_after(host, port, b"EHLO stalled.example\r\n")
+        await _assert_stopped(server, [client])
+    run(scenario())
+
+
 class TestForkAfterTrustSpecifics:
+    def test_stop_closes_sessions_queued_for_a_worker(self, tmp_path):
+        async def scenario():
+            server = make_server(MboxStore(tmp_path), worker_pool_size=1)
+            host, port = await server.start()
+            trusted = (b"EHLO stalled.example\r\n",
+                       b"MAIL FROM:<s@x.com>\r\n",
+                       b"RCPT TO:<alice@dest.example>\r\n")
+            # the first session occupies the only worker; the second waits
+            # in its task queue
+            busy = await _stall_after(host, port, *trusted)
+            queued = await _stall_after(host, port, *trusted)
+            assert server.stats.handoffs == 2
+            await _assert_stopped(server, [busy, queued])
+        run(scenario())
+
     def test_handoffs_only_for_trusted_sessions(self, tmp_path):
         async def scenario():
             store = MfsStore(tmp_path)

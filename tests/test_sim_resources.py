@@ -84,17 +84,6 @@ class TestResource:
             res.release(queued)
         res.release(held)
 
-    def test_cancelled_request_skipped(self, sim):
-        res = Resource(sim, capacity=1)
-        first = res.request()
-        second = res.request()
-        third = res.request()
-        second.cancel()
-        res.release(first)
-        sim.run()
-        assert third.triggered
-        assert not second.triggered
-
     def test_stats(self, sim):
         res = Resource(sim, capacity=1)
         a = res.request()
